@@ -125,7 +125,7 @@ def cmd_spread(args) -> int:
         f"witness S = {report.witness} (|S| = {len(report.witness)}, "
         f"count = {report.witness_count}, |H| = {report.family_size})"
     )
-    for size, best in enumerate(report.per_size, start=1):
+    for size, best in sorted(report.per_size.items()):
         print(f"  s = {size}: min ratio root = {best:g}", file=sys.stderr)
     return 0
 

@@ -129,7 +129,8 @@ class RainbowStats:
             "E_Z": float(self.e_z),
             "E_Z2": float(self.e_z2),
             "E_Z_exact": f"{self.e_z.numerator}/{self.e_z.denominator}",
-            "E_Z2_exact": f"{self.e_z2.numerator}/{self.e_z2.denominator}",
+            # the log-space fallback only approximates E(Z^2): no exact form
+            "E_Z2_exact": f"{self.e_z2.numerator}/{self.e_z2.denominator}" if self.exact else None,
             "ratio": self.ratio,
             "exact": self.exact,
         }

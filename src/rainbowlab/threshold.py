@@ -2,11 +2,17 @@
 
 An instance is an m-edge subgraph of K_n with uniformly colored edges.  The
 search decides exactly whether it contains a (rainbow) k-th power of a
-Hamilton cycle by backtracking over vertex sequences: vertex 0 is pinned
-first, reflection is broken by requiring the second vertex to precede the
-last, each placement checks its back-edges for presence and color freshness,
-and wrap-around edges are checked as soon as both endpoints are placed.  A
-node budget turns the verdict into "unknown" rather than ever guessing.
+Hamilton cycle.  Three sound prefilters answer "absent" with 0 nodes: fewer
+than kn edges, a vertex of degree below 2k, or (for a rainbow power) fewer
+than kn distinct colors.  Otherwise it backtracks over vertex sequences:
+vertex 0 is pinned first, reflection is broken by requiring the second vertex
+to precede the last, and a candidate must be joined to every placed vertex it
+shares a power edge with: its back-edges, plus its wrap-around edges once both
+endpoints are placed.  Each edge carries one label bit (its color, or its
+pair id when colors do not matter), so one mask test checks that the new
+edges are fresh and pairwise distinct.  A node is a placement that passed
+these checks; a node budget turns the verdict into "unknown" rather than ever
+guessing.
 
 Grid runs fan trials out over a process pool; every trial derives its
 generator from (master seed, point index, trial index), and rows are reduced
@@ -120,74 +126,75 @@ def rainbow_power_search(
     before being returned, guarding the pruning logic.
     """
     t0 = time.perf_counter()
-    n, k, q = inst.n, inst.k, inst.q
+    n, k = inst.n, inst.k
     if n < 2 * k + 2:
         raise InputError(f"need n >= 2k+2 = {2 * k + 2}, got n={n}")
     if budget < 1:
         raise InputError(f"node budget must be >= 1, got {budget}")
 
-    # adjacency bitmasks and a dense color table
+    # adjacency bitmasks and one label bit per edge: its color, or its pair
+    # id when colors do not matter (a power never repeats a pair, so those
+    # labels never collide); a zero label marks an absent edge
     adj = [0] * n
-    color = [[-1] * n for _ in range(n)]
+    label = [[0] * n for _ in range(n)]
+    palette = 0
     for eid, c in inst.edge_colors:
         u, v = pair_of(eid)
         if v >= n:
             raise InputError(f"element id {eid} is no edge slot of K_{n}")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-        color[u][v] = color[v][u] = c
+        bit = 1 << (c if require_rainbow else eid)
+        label[u][v] = label[v][u] = bit
+        palette |= bit
 
-    # sound pruning: a k-th power is 2k-regular with kn edges
-    if inst.m < k * n or any(adj[v].bit_count() < 2 * k for v in range(n)):
+    # sound pruning: a k-th power is 2k-regular with kn edges carrying kn
+    # distinct labels (vacuous without colors, where labels are the m edges)
+    if (
+        inst.m < k * n
+        or palette.bit_count() < k * n
+        or any(adj[v].bit_count() < 2 * k for v in range(n))
+    ):
         return TrialResult(False, 0, time.perf_counter() - t0, False)
+
+    # per level: positions of the placed vertices joined to the new vertex by
+    # a power edge (back-edges, then wrap-around edges once level >= n-k);
+    # the candidate mask demands all of them, so presence needs no re-check
+    links = [
+        tuple(range(level - 1, max(level - k, 0) - 1, -1)) + tuple(range(level + k - n + 1))
+        for level in range(n)
+    ]
 
     seq = [0] * n
     cand = [0] * n
-    placed_cols = [0] * n
+    placed_labels = [0] * n
     used = 1
-    used_cols = 0
+    used_labels = 0
     nodes = 0
     level = 1
     cand[1] = adj[0] & ~used
+    link = links[1]
 
     while True:
         avail = cand[level]
-        if avail == 0:
+        if not avail:
             level -= 1
             if level == 0:
                 return TrialResult(False, nodes, time.perf_counter() - t0, False)
-            used &= ~(1 << seq[level])
-            used_cols &= ~placed_cols[level]
+            used ^= 1 << seq[level]
+            used_labels ^= placed_labels[level]
+            link = links[level]
             continue
-        v = (avail & -avail).bit_length() - 1
-        cand[level] = avail & (avail - 1)
+        low = avail & -avail
+        cand[level] = avail ^ low
+        v = low.bit_length() - 1
 
-        if level == n - 1 and seq[1] > v:
-            continue  # reflection twin will be (or was) tried instead
-
-        # colors of the back-edges to the previous min(k, level) vertices;
-        # presence is already guaranteed by the candidate mask
-        new_cols = 0
-        ok = True
-        for j in range(1, min(k, level) + 1):
-            bit = 1 << color[seq[level - j]][v]
-            if require_rainbow and (used_cols | new_cols) & bit:
-                ok = False
-                break
-            new_cols |= bit
-        # wrap-around edges become determined once level >= n-k
-        if ok and level >= n - k:
-            for j in range(n - level, k + 1):
-                u = seq[level + j - n]
-                if not (adj[v] >> u) & 1:
-                    ok = False
-                    break
-                bit = 1 << color[v][u]
-                if require_rainbow and (used_cols | new_cols) & bit:
-                    ok = False
-                    break
-                new_cols |= bit
-        if not ok:
+        # the new power edges must carry fresh, pairwise distinct labels
+        row = label[v]
+        new = 0
+        for i in link:
+            new |= row[seq[i]]
+        if new & used_labels or new.bit_count() != len(link):
             continue
 
         nodes += 1
@@ -198,13 +205,16 @@ def rainbow_power_search(
             witness = tuple(seq)
             _revalidate(inst, witness, require_rainbow)
             return TrialResult(True, nodes, time.perf_counter() - t0, False, witness)
-        used |= 1 << v
-        used_cols |= new_cols
-        placed_cols[level] = new_cols
+        used |= low
+        used_labels |= new
+        placed_labels[level] = new
         level += 1
-        mask = ~used & adj[v]
-        for j in range(2, min(k, level) + 1):
-            mask &= adj[seq[level - j]]
+        link = links[level]
+        mask = ~used
+        for i in link:
+            mask &= adj[seq[i]]
+        if level == n - 1:
+            mask &= -(1 << seq[1])  # reflection: the last vertex follows the second
         cand[level] = mask
 
 

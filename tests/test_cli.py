@@ -27,6 +27,16 @@ def test_spread_example(capsys):
     assert out.splitlines()[0] == "kappa_s = 2"
 
 
+def test_spread_per_size_lines_print_kappa_values(capsys):
+    code, out, err = run_cli(capsys, "spread", "--n", "7", "--k", "1", "--smax", "2")
+    assert code == 0
+    assert out.splitlines()[0] == "kappa_s = 2.73861"
+    assert err.splitlines() == [
+        "  s = 1: min ratio root = 3",
+        "  s = 2: min ratio root = 2.73861",
+    ]
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     code = main(["frobnicate"])
     capsys.readouterr()

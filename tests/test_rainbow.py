@@ -170,6 +170,17 @@ def test_large_palette_falls_back_to_float_path():
     assert float(approx.e_z2) == pytest.approx(float(exact.e_z2), rel=1e-9)
 
 
+def test_float_path_writes_no_exact_second_moment():
+    hg = tiny_family()
+    exact = exact_second_moment(hg, 7).to_json()
+    approx = exact_second_moment(hg, 7, max_denominator_bits=4).to_json()
+    assert exact["exact"] is True
+    assert exact["E_Z2_exact"] is not None
+    assert approx["exact"] is False
+    assert approx["E_Z2_exact"] is None
+    assert approx["E_Z_exact"] == exact["E_Z_exact"]  # E(Z) stays exact
+
+
 # ----------------------------------------------------------------------------
 # closed-form ratio bound and conditional profile
 

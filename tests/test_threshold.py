@@ -11,7 +11,7 @@ from itertools import permutations
 import pytest
 
 from rainbowlab.errors import InputError
-from rainbowlab.hypergraph import pair_id
+from rainbowlab.hypergraph import pair_id, pair_of
 from rainbowlab.seeding import make_rng
 from rainbowlab.threshold import (
     ExperimentConfig,
@@ -104,22 +104,43 @@ def test_sample_instance_deterministic_and_in_range():
 # ----------------------------------------------------------------------------
 # the search against the oracle
 
-def test_search_agrees_with_oracle_small_sweep():
+def palette_prefilter_applies(inst):
+    """Enough edges and degrees for a k-th power, but fewer than kn colors."""
+    n, k = inst.n, inst.k
+    degree = [0] * n
+    for eid, _ in inst.edge_colors:
+        for v in pair_of(eid):
+            degree[v] += 1
+    colors = {c for _, c in inst.edge_colors}
+    return inst.m >= k * n and min(degree) >= 2 * k and len(colors) < k * n
+
+
+@pytest.mark.parametrize("slack", [1.0, 1.2])
+def test_search_agrees_with_oracle_small_sweep(slack):
     rng = make_rng(2024)
     cases = 0
+    prefiltered = searched = 0
     for n, k in [(6, 1), (7, 1), (6, 2)]:
         big_n = n * (n - 1) // 2
-        q = math.ceil(1.2 * k * n)
+        q = math.ceil(slack * k * n)
         for _ in range(15):
             m = rng.randint(max(0, k * n - 2), big_n)
             inst = sample_instance(n, k, q, m, rng)
             res = rainbow_power_search(inst, budget=10_000_000)
             assert res.found is not None
             assert res.found == oracle_decides(inst)
+            if palette_prefilter_applies(inst):
+                assert res.nodes == 0
+                prefiltered += 1
+            elif res.nodes:
+                searched += 1
             if res.found:
                 check_witness(inst, res.witness, require_rainbow=True)
                 cases += 1
     assert cases > 0  # the sweep must exercise the found path
+    assert searched > 0
+    if slack == 1.0:
+        assert prefiltered > 0  # a palette of exactly kn colors often misses one
 
 
 def test_search_agrees_with_oracle_bare_containment():
@@ -165,6 +186,43 @@ def test_search_prunes_sparse_instances_without_exploring():
     res = rainbow_power_search(inst)
     assert res.found is False
     assert res.nodes == 0
+
+
+def test_search_prunes_short_palettes_without_exploring():
+    # complete K8 (m = 28 >= kn = 16, every degree 7 >= 2k = 4) in 15 colors
+    inst = Instance(8, 2, 15, tuple((e, e % 15) for e in range(28)))
+    assert palette_prefilter_applies(inst)
+    res = rainbow_power_search(inst)
+    assert res.found is False
+    assert res.nodes == 0
+    # colors play no part without the rainbow requirement
+    assert rainbow_power_search(inst, require_rainbow=False).found is True
+    # with kn colors on hand the search runs
+    res = rainbow_power_search(Instance(8, 2, 16, tuple((e, e % 16) for e in range(28))))
+    assert res.found is not None
+    assert res.nodes > 0
+
+
+# (n, k, m, seed, budget) -> (found, nodes, witness) of searches without the
+# rainbow requirement, frozen at the values of the earlier kernel that kept a
+# color table, so that a kernel visiting other nodes shows here
+FROZEN_PLAIN_SEARCHES = [
+    ((8, 1, 14, 7, 10_000_000), (True, 45, (0, 2, 5, 6, 1, 3, 4, 7))),
+    ((9, 2, 26, 3, 10_000_000), (True, 17, (0, 2, 3, 4, 8, 1, 7, 5, 6))),
+    ((10, 2, 32, 4, 10_000_000), (False, 2576, None)),
+    ((10, 2, 34, 5, 10_000_000), (True, 1728, (0, 4, 5, 1, 6, 3, 7, 2, 8, 9))),
+    ((11, 3, 45, 8, 10_000_000), (False, 15517, None)),
+    ((11, 3, 45, 8, 1000), (None, 1001, None)),
+    ((12, 2, 44, 11, 10_000_000), (True, 821, (0, 1, 10, 3, 4, 8, 2, 7, 11, 5, 9, 6))),
+]
+
+
+@pytest.mark.parametrize("params, expected", FROZEN_PLAIN_SEARCHES)
+def test_search_without_rainbow_visits_frozen_nodes(params, expected):
+    n, k, m, seed, budget = params
+    inst = sample_instance(n, k, 3, m, make_rng(seed))
+    res = rainbow_power_search(inst, require_rainbow=False, budget=budget)
+    assert (res.found, res.nodes, res.witness) == expected
 
 
 # ----------------------------------------------------------------------------
