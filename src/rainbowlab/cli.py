@@ -72,15 +72,17 @@ def _family(args) -> hampow.PowerFamily:
     return hampow.enumerate_family(params, budget=args.budget)
 
 
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text()
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}")
+
+
 def _load_hypergraph(args):
     """Either an explicit file or the (n, k) power family, as chosen by flags."""
     if getattr(args, "input", None):
-        path = Path(args.input)
-        try:
-            text = path.read_text()
-        except OSError as exc:
-            raise InputError(f"cannot read {path}: {exc}")
-        return read_hypergraph_text(text, semantics=args.semantics)
+        return read_hypergraph_text(_read_text(Path(args.input)), semantics=args.semantics)
     if args.n is None:
         raise InputError("give either --input FILE or --n (with --k)")
     return _family(args).hypergraph(args.semantics)
@@ -186,6 +188,8 @@ def cmd_audit_chain(args) -> int:
 
 def cmd_moments(args) -> int:
     _need_n(args)
+    if args.trials < 0:
+        raise InputError("--trials must be >= 0 (0 runs the exact moments only)")
     seed = _resolve_seed(args)
     fam = _family(args)
     hg = fam.hypergraph(args.semantics)
@@ -228,6 +232,8 @@ def cmd_fragment(args) -> int:
     omegas = sorted(set(args.sweep))
     if any(w < 1 for w in omegas):
         raise InputError("--sweep values must be >= 1")
+    if args.sweep_trials < 1:
+        raise InputError("--sweep-trials must be >= 1")
     rows = []
     for omega in omegas:
         failures = 0
@@ -283,12 +289,7 @@ def cmd_threshold(args) -> int:
 
 def cmd_search(args) -> int:
     if args.input:
-        path = Path(args.input)
-        try:
-            text = path.read_text()
-        except OSError as exc:
-            raise InputError(f"cannot read {path}: {exc}")
-        inst = threshold.read_instance_text(text)
+        inst = threshold.read_instance_text(_read_text(Path(args.input)))
     else:
         if args.n is None or args.m is None:
             raise InputError("give either --input FILE or all of --n, --m (with --k, --q)")
@@ -314,30 +315,11 @@ def cmd_search(args) -> int:
 def cmd_report(args) -> int:
     path = Path(args.input)
     try:
-        data = json.loads(path.read_text())
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}")
+        data = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}")
     try:
-        rows = tuple(
-            threshold.GridRow(
-                n=row["n"],
-                k=row["k"],
-                q=row["q"],
-                m=row["m"],
-                C=row["C"],
-                trials=row["trials"],
-                decided=row["decided"],
-                successes=row["successes"],
-                unknown=row["unknown"],
-                mean_nodes=row["mean_nodes"],
-                mean_ms=row.get("mean_ms", 0.0),
-                seed=row["seed"],
-            )
-            for row in data["rows"]
-        )
-        results = threshold.GridResults(config=data.get("config", {}), rows=rows)
+        results = threshold.GridResults.from_json(data)
     except (KeyError, TypeError) as exc:
         raise InputError(f"{path} does not look like a grid summary: missing {exc}")
     timing = args.timing or bool(data.get("timing"))
@@ -384,15 +366,20 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     def add_budget(p, default=hampow.DEFAULT_ORDER_BUDGET):
         p.add_argument("--budget", type=int, default=default, help="enumeration budget (cyclic orders)")
 
+    def add_semantics(p, input_file=False, help_text="member identity for the family"):
+        if input_file:
+            p.add_argument("--input", metavar="FILE", default=None, help="hypergraph text file instead of --n/--k")
+        p.add_argument(
+            "--semantics",
+            choices=[DISTINCT_SETS, LABELED_ORDERS],
+            default=DISTINCT_SETS,
+            help=help_text,
+        )
+
     p = add("family", "enumerate the k-th Hamilton powers of K_n and report counts")
     add_nk(p)
     add_budget(p)
-    p.add_argument(
-        "--semantics",
-        choices=[DISTINCT_SETS, LABELED_ORDERS],
-        default=DISTINCT_SETS,
-        help="member identity used when writing the family",
-    )
+    add_semantics(p, help_text="member identity used when writing the family")
     p.add_argument("--write-text", action="store_true", help="also write the family as a text file")
     p.set_defaults(func=cmd_family)
 
@@ -400,25 +387,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     add_nk(p)
     add_budget(p)
     p.add_argument("--smax", type=int, default=1, help="largest subset size to scan")
-    p.add_argument("--input", metavar="FILE", default=None, help="hypergraph text file instead of --n/--k")
-    p.add_argument(
-        "--semantics",
-        choices=[DISTINCT_SETS, LABELED_ORDERS],
-        default=DISTINCT_SETS,
-        help="member identity for the family",
-    )
+    add_semantics(p, input_file=True)
     p.set_defaults(func=cmd_spread)
 
     p = add("profile", "intersection profile and the least workable K0 for a family")
     add_nk(p)
     add_budget(p)
-    p.add_argument("--input", metavar="FILE", default=None, help="hypergraph text file instead of --n/--k")
-    p.add_argument(
-        "--semantics",
-        choices=[DISTINCT_SETS, LABELED_ORDERS],
-        default=DISTINCT_SETS,
-        help="member identity for the family",
-    )
+    add_semantics(p, input_file=True)
     p.add_argument("--alpha", type=float, default=1 / 3, help="profile cut fraction")
     p.add_argument("--kappa", type=float, default=None, help="spread parameter (default: n^(1/k))")
     p.add_argument("--pair-budget", type=int, default=4_000_000, help="member-pair budget")
@@ -448,12 +423,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     add_budget(p)
     p.add_argument("--q", type=int, default=None, help="palette size (default: ceil((1+eps1) r))")
     p.add_argument("--epsilon1", type=float, default=0.1, help="palette surplus when --q is omitted")
-    p.add_argument(
-        "--semantics",
-        choices=[DISTINCT_SETS, LABELED_ORDERS],
-        default=DISTINCT_SETS,
-        help="member identity for the family",
-    )
+    add_semantics(p)
     p.add_argument("--trials", type=int, default=100_000, help="Monte Carlo colorings (0: exact only)")
     p.add_argument("--seed", type=int, default=None, help="master seed")
     p.add_argument("--pair-budget", type=int, default=4_000_000, help="member-pair budget")
@@ -517,11 +487,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 def _load_config(path_text: str, subparser: argparse.ArgumentParser) -> dict:
     path = Path(path_text)
     try:
-        raw = path.read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read config {path}: {exc}")
-    try:
-        data = json.loads(raw)
+        data = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise InputError(f"config {path} is not valid JSON: {exc}")
     if not isinstance(data, dict):

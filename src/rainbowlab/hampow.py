@@ -20,12 +20,11 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, permutations
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import BudgetError, InputError
 from .hypergraph import (
     DISTINCT_SETS,
-    LABELED_ORDERS,
     GroundSet,
     Hypergraph,
     pair_id,
@@ -53,7 +52,6 @@ __all__ = [
     "prop2_bound",
     "count_extensions",
     "component_tally",
-    "count_subgraphs_by_components",
     "structure_check",
     "f_chain_bound",
     "audit_prop1",
@@ -125,27 +123,29 @@ def power_edge_set(order: Sequence[int], k: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class PowerFamily:
-    """All canonical orders of [n] together with their (deduplicated) powers."""
+    """All canonical orders of [n] together with their (deduplicated) powers.
+
+    order_sets[i] is the power of orders[i]; edge_sets holds each distinct
+    power once, sorted, sharing its tuple with order_sets.
+    """
 
     params: PowerParams
     orders: tuple[tuple[int, ...], ...]
+    order_sets: tuple[tuple[int, ...], ...]
     edge_sets: tuple[tuple[int, ...], ...]
     collisions: int
 
     @cached_property
     def order_masks(self) -> tuple[int, ...]:
-        return tuple(_mask(power_edge_set(o, self.params.k)) for o in self.orders)
+        return tuple(_mask(e) for e in self.order_sets)
 
     @cached_property
     def set_masks(self) -> tuple[int, ...]:
         return tuple(_mask(e) for e in self.edge_sets)
 
     def hypergraph(self, semantics: str = DISTINCT_SETS) -> Hypergraph:
-        ground = self.params.ground()
-        if semantics == DISTINCT_SETS:
-            return Hypergraph(ground, self.edge_sets, self.params.r, semantics)
-        edges = tuple(power_edge_set(o, self.params.k) for o in self.orders)
-        return Hypergraph(ground, edges, self.params.r, LABELED_ORDERS)
+        edges = self.edge_sets if semantics == DISTINCT_SETS else self.order_sets
+        return Hypergraph(self.params.ground(), edges, self.params.r, semantics)
 
 
 def _mask(ids: Iterable[int]) -> int:
@@ -176,10 +176,12 @@ def enumerate_family(params: PowerParams, budget: int = DEFAULT_ORDER_BUDGET) ->
         return cached
 
     orders = tuple(canonical_orders(params.n))
-    distinct = sorted(set(power_edge_set(o, params.k) for o in orders))
+    order_sets = tuple(power_edge_set(o, params.k) for o in orders)
+    distinct = sorted(set(order_sets))
     fam = PowerFamily(
         params=params,
         orders=orders,
+        order_sets=order_sets,
         edge_sets=tuple(distinct),
         collisions=total - len(distinct),
     )
@@ -323,15 +325,6 @@ def component_tally(edge_ids: Sequence[int], t: int, reading: str) -> dict[int, 
     else:
         raise InputError(f"reading must be 'a' or 'b', got {reading!r}")
     return tally
-
-
-def count_subgraphs_by_components(
-    edge_ids: Sequence[int], t: int, c: int, reading: str
-) -> int:
-    """Exact count behind the component-count bound, under reading (a) or (b)."""
-    if c < 1:
-        raise InputError(f"component count c must be >= 1, got {c}")
-    return component_tally(edge_ids, t, reading).get(c, 0)
 
 
 @dataclass(frozen=True)
@@ -486,22 +479,46 @@ class AuditReport:
         }
 
 
-def _extendable_subgraphs(
-    family: PowerFamily, t_max: int, labeled: bool
-) -> dict[tuple[int, ...], int]:
-    """Map from subgraph (sorted edge-id tuple, size <= t_max) to the number of
-    members containing it.  Members are orders when labeled, else edge sets."""
+def _audit(
+    name: str,
+    n: int,
+    k: int,
+    budget: int,
+    labeled: bool,
+    rows_of: Callable[[tuple[int, ...], int], Iterable[AuditRow]],
+) -> AuditReport:
+    """Shared skeleton of the subgraph audits.
+
+    Counts, for every subgraph T of a member with |T| <= floor(n/3k), the
+    members containing it (orders when labeled, else edge sets), and asks
+    rows_of(T, count) for T's rows.  The report keeps the worst (largest
+    exact) row per (t, c) cell and every failing row, in discovery order.
+    """
+    params = PowerParams(n, k)
+    family = enumerate_family(params, budget=budget)
     counts: dict[tuple[int, ...], int] = {}
-    members = (
-        [power_edge_set(o, family.params.k) for o in family.orders]
-        if labeled
-        else list(family.edge_sets)
-    )
-    for edge_set in members:
-        for t in range(1, t_max + 1):
+    for edge_set in family.order_sets if labeled else family.edge_sets:
+        for t in range(1, params.t_max + 1):
             for sub in combinations(edge_set, t):
                 counts[sub] = counts.get(sub, 0) + 1
-    return counts
+    worst: dict[tuple[int, int], AuditRow] = {}
+    violations: list[AuditRow] = []
+    for sub, cnt in counts.items():
+        for row in rows_of(sub, cnt):
+            if not row.passed:
+                violations.append(row)
+            prev = worst.get((row.t, row.c))
+            if prev is None or row.exact > prev.exact:
+                worst[(row.t, row.c)] = row
+    rows = tuple(worst[key] for key in sorted(worst))
+    return AuditReport(name=name, rows=rows, violations=tuple(violations), checked=len(counts))
+
+
+def _prop2_rows(n: int, k: int, t: int, tally: dict[int, int]) -> Iterator[AuditRow]:
+    """One row per component count c of a tally, against the component-count bound."""
+    for c, cnt in sorted(tally.items()):
+        bound = prop2_bound(k, t, c)
+        yield AuditRow(n, k, t, c, cnt, bound, cnt <= bound)
 
 
 def audit_prop1(n: int, k: int, budget: int = DEFAULT_ORDER_BUDGET) -> AuditReport:
@@ -511,81 +528,36 @@ def audit_prop1(n: int, k: int, budget: int = DEFAULT_ORDER_BUDGET) -> AuditRepo
     contained in no member have count 0 and pass vacuously, so only subgraphs
     of members need exact counting.
     """
-    params = PowerParams(n, k)
-    family = enumerate_family(params, budget=budget)
-    t_max = params.t_max
-    if t_max < 1:
-        return AuditReport(name="prop1", rows=(), violations=(), checked=0)
 
-    counts = _extendable_subgraphs(family, t_max, labeled=True)
-    worst: dict[tuple[int, int], AuditRow] = {}
-    violations: list[AuditRow] = []
-    for sub, cnt in counts.items():
+    def rows_of(sub, cnt):
         stats, _ = components_of(sub)
         bound = math.exp(prop1_bound(n, k, stats.t, stats.c))
-        row = AuditRow(n, k, stats.t, stats.c, cnt, bound, cnt <= bound)
-        if not row.passed:
-            violations.append(row)
-        prev = worst.get((stats.t, stats.c))
-        if prev is None or cnt > prev.exact:
-            worst[(stats.t, stats.c)] = row
-    rows = tuple(worst[key] for key in sorted(worst))
-    return AuditReport(name="prop1", rows=rows, violations=tuple(violations), checked=len(counts))
+        return [AuditRow(n, k, stats.t, stats.c, cnt, bound, cnt <= bound)]
+
+    return _audit("prop1", n, k, budget, True, rows_of)
 
 
 def audit_structure(n: int, k: int, budget: int = DEFAULT_ORDER_BUDGET) -> AuditReport:
     """Exhaustive edge/vertex balance check over all subgraphs of all members."""
-    params = PowerParams(n, k)
-    family = enumerate_family(params, budget=budget)
-    t_max = params.t_max
-    if t_max < 1:
-        return AuditReport(name="structure", rows=(), violations=(), checked=0)
 
-    counts = _extendable_subgraphs(family, t_max, labeled=False)
-    worst: dict[tuple[int, int], AuditRow] = {}
-    violations: list[AuditRow] = []
-    for sub in counts:
+    def rows_of(sub, _cnt):
         rep = _structure_report(sub, k)
         stats = rep.stats
         # "exact" records the subgraph size, "bound" the balance ceiling.
         bound = float(k * stats.v - (2 * k - 1) * stats.c)
-        row = AuditRow(n, k, stats.t, stats.c, stats.t, bound, rep.ok)
-        if not rep.ok:
-            violations.append(row)
-        prev = worst.get((stats.t, stats.c))
-        if prev is None or stats.t > prev.exact:
-            worst[(stats.t, stats.c)] = row
-    rows = tuple(worst[key] for key in sorted(worst))
-    return AuditReport(
-        name="structure", rows=rows, violations=tuple(violations), checked=len(counts)
-    )
+        return [AuditRow(n, k, stats.t, stats.c, stats.t, bound, rep.ok)]
+
+    return _audit("structure", n, k, budget, False, rows_of)
 
 
 def audit_prop2_reading_a(n: int, k: int, budget: int = DEFAULT_ORDER_BUDGET) -> AuditReport:
     """Reading (a): for each subgraph T of a member, every tally of T's own
     edge-subsets by component count must sit under the bound at t = |T|."""
-    params = PowerParams(n, k)
-    family = enumerate_family(params, budget=budget)
-    t_max = params.t_max
-    if t_max < 1:
-        return AuditReport(name="prop2a", rows=(), violations=(), checked=0)
 
-    counts = _extendable_subgraphs(family, t_max, labeled=False)
-    worst: dict[tuple[int, int], AuditRow] = {}
-    violations: list[AuditRow] = []
-    for sub in counts:
-        t = len(sub)
-        tally = component_tally(sub, t, "a")
-        for c, cnt in sorted(tally.items()):
-            bound = prop2_bound(k, t, c)
-            row = AuditRow(n, k, t, c, cnt, bound, cnt <= bound)
-            if not row.passed:
-                violations.append(row)
-            prev = worst.get((t, c))
-            if prev is None or cnt > prev.exact:
-                worst[(t, c)] = row
-    rows = tuple(worst[key] for key in sorted(worst))
-    return AuditReport(name="prop2a", rows=rows, violations=tuple(violations), checked=len(counts))
+    def rows_of(sub, _cnt):
+        return _prop2_rows(n, k, len(sub), component_tally(sub, len(sub), "a"))
+
+    return _audit("prop2a", n, k, budget, False, rows_of)
 
 
 def audit_prop2_reading_b(n_values: Iterable[int], k: int) -> AuditReport:
@@ -597,21 +569,19 @@ def audit_prop2_reading_b(n_values: Iterable[int], k: int) -> AuditReport:
     scale (first at n=22, k=1, t=1, c=1, where a cycle has n single-edge
     subgraphs against a bound just under 22).
     """
+    n_values = sorted(set(n_values))
+    if not n_values:
+        raise InputError("reading (b) needs at least one n to audit")
     rows: list[AuditRow] = []
-    violations: list[AuditRow] = []
     checked = 0
-    for n in sorted(set(n_values)):
+    for n in n_values:
         params = PowerParams(n, k)
         member = power_edge_set(tuple(range(n)), k)
         for t in range(1, params.t_max + 1):
             tally = component_tally(member, t, "b")
             checked += sum(tally.values())
-            for c, cnt in sorted(tally.items()):
-                bound = prop2_bound(k, t, c)
-                row = AuditRow(n, k, t, c, cnt, bound, cnt <= bound)
-                rows.append(row)
-                if not row.passed:
-                    violations.append(row)
+            rows.extend(_prop2_rows(n, k, t, tally))
+    violations = [row for row in rows if not row.passed]
     return AuditReport(
         name="prop2b", rows=tuple(rows), violations=tuple(violations), checked=checked
     )

@@ -278,12 +278,8 @@ def max_profile(hg: Hypergraph, pair_budget: int = 10_000_000) -> tuple[int, ...
             f"profile scan needs {big_m * big_m} pair intersections, budget {pair_budget}"
         )
     fmax = [0] * (hg.r + 1)
-    masks = hg.masks
-    for base in masks:
-        counts = [0] * (hg.r + 1)
-        for m in masks:
-            counts[(m & base).bit_count()] += 1
-        for t, c in enumerate(counts):
+    for base_index in range(big_m):
+        for t, c in enumerate(intersection_profile(hg, base_index).counts):
             if c > fmax[t]:
                 fmax[t] = c
     return tuple(fmax)

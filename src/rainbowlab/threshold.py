@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 from .errors import BudgetError, InputError
@@ -349,6 +349,18 @@ class GridResults:
                 }
             )
         return {"config": self.config, "timing": timing, "rows": rows}
+
+    @classmethod
+    def from_json(cls, data: dict) -> "GridResults":
+        """Inverse of to_json.  rate and the Wilson bounds are derived, so they
+        are not read back; a summary without mean_ms restores it as 0.0.
+        Raises KeyError or TypeError when a field is missing or misshapen."""
+        names = [f.name for f in fields(GridRow) if f.name != "mean_ms"]
+        rows = tuple(
+            GridRow(**{name: row[name] for name in names}, mean_ms=row.get("mean_ms", 0.0))
+            for row in data["rows"]
+        )
+        return cls(config=data.get("config", {}), rows=rows)
 
 
 def _run_task(task: tuple) -> tuple[int, int, int, int, float]:

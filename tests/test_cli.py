@@ -71,6 +71,34 @@ def test_missing_n_is_input_error(capsys):
     assert "--n" in err
 
 
+def test_empty_reading_b_range_is_input_error(capsys):
+    code, out, err = run_cli(
+        capsys, "audit-prop2", "--reading", "b", "--n-min", "10", "--n-max", "9"
+    )
+    assert code == 1
+    assert out == ""
+    assert "at least one n" in err
+
+
+def test_zero_sweep_trials_is_input_error(capsys):
+    code, out, err = run_cli(
+        capsys, "fragment", "--n", "7", "--k", "1", "--sweep", "1,2",
+        "--sweep-trials", "0", "--seed", "3",
+    )
+    assert code == 1
+    assert out == ""
+    assert "--sweep-trials" in err
+
+
+def test_negative_moment_trials_is_input_error(capsys):
+    code, out, err = run_cli(
+        capsys, "moments", "--n", "5", "--k", "1", "--q", "6", "--trials", "-3", "--seed", "9"
+    )
+    assert code == 1
+    assert out == ""
+    assert "--trials" in err
+
+
 def test_search_budget_exhaustion_exits_3(capsys):
     code, out, _ = run_cli(
         capsys, "search", "--n", "12", "--k", "2", "--m", "66",

@@ -5,6 +5,8 @@ principles (raw permutation scans, BFS component counts, direct formula
 evaluation) or is a frozen constant cross-checked by two routes.
 """
 
+import hashlib
+import json
 import math
 from itertools import combinations, permutations
 
@@ -23,7 +25,6 @@ from rainbowlab.hampow import (
     component_tally,
     components_of,
     count_extensions,
-    count_subgraphs_by_components,
     enumerate_family,
     f_chain_bound,
     order_count,
@@ -32,7 +33,13 @@ from rainbowlab.hampow import (
     prop2_bound,
     structure_check,
 )
-from rainbowlab.hypergraph import DISTINCT_SETS, LABELED_ORDERS, pair_id, pair_of
+from rainbowlab.hypergraph import (
+    DISTINCT_SETS,
+    LABELED_ORDERS,
+    format_hypergraph_text,
+    pair_id,
+    pair_of,
+)
 
 
 def raw_power_edges(order, k):
@@ -153,6 +160,33 @@ def test_hypergraph_views():
     fam = enumerate_family(PowerParams(6, 2))
     assert len(fam.hypergraph(DISTINCT_SETS).edges) == 15
     assert len(fam.hypergraph(LABELED_ORDERS).edges) == 60
+    want = [power_edge_set(o, 2) for o in fam.orders]
+    assert list(fam.hypergraph(LABELED_ORDERS).edges) == want
+    assert list(fam.order_masks) == [sum(1 << x for x in e) for e in want]
+
+
+def test_hypergraph_rejects_unknown_semantics():
+    fam = enumerate_family(PowerParams(6, 2))
+    with pytest.raises(InputError):
+        fam.hypergraph("distinct")
+
+
+def test_each_order_power_is_computed_once(monkeypatch):
+    import rainbowlab.hampow as hampow
+
+    calls = []
+
+    def counting(order, k):
+        calls.append(order)
+        return power_edge_set(order, k)
+
+    monkeypatch.setattr(hampow, "_family_cache", {})
+    monkeypatch.setattr(hampow, "power_edge_set", counting)
+    fam = enumerate_family(PowerParams(7, 1))
+    fam.hypergraph(LABELED_ORDERS)
+    fam.order_masks
+    audit_prop1(7, 1)
+    assert len(calls) == len(fam.orders) == 360
 
 
 # ----------------------------------------------------------------------------
@@ -281,15 +315,6 @@ def test_component_tally_reading_b_matches_brute_force():
     assert sum(tally.values()) == math.comb(6, 2)
 
 
-def test_count_subgraphs_by_components_slices_the_tally():
-    order = next(canonical_orders(6))
-    member = power_edge_set(order, 1)
-    tally = component_tally(member, 2, reading="b")
-    for c, count in tally.items():
-        assert count_subgraphs_by_components(member, 2, c, reading="b") == count
-    assert count_subgraphs_by_components(member, 2, 5, reading="b") == 0
-
-
 # ----------------------------------------------------------------------------
 # structure checks
 
@@ -405,3 +430,42 @@ def test_audit_report_json_shape():
     data = rep.to_json()
     assert data["ok"] is True
     assert {"n", "k", "t", "c", "exact", "bound", "pass"} <= set(data["rows"][0])
+
+
+# ----------------------------------------------------------------------------
+# frozen output bytes: SHA-256 of the canonical JSON, so a reordered row or
+# violation list fails even where every cell still passes
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+AUDIT_DIGESTS = {
+    ("prop1", 8, 1): "5af97a5983078503de8e59ff9a039cdab13e7800f0f7c0a9cb754f30a923370a",
+    ("prop1", 9, 1): "07851279e00835fe26dc9943ce25f10b7bd911e2635466c2da319a1096dba711",
+    ("prop1", 7, 2): "6ededf051b0feb4928d9f630e1916d0d9c661dc85552f2b25391970a1cb122b1",
+    ("prop1", 8, 2): "ecd894d43ee729b9efdb36ef7b94774be142a231bfcaf53176806303e39a499a",
+    ("structure", 8, 1): "2a5aa5099e50c4a79641409b79a1ac8b0e4ccfb32d04b7cde4f0184623c93f28",
+    ("structure", 9, 1): "a604382e4e036e056c57374a0db6e9364e8ed6a99c45029ae29c95845cb82439",
+    ("structure", 7, 2): "8beceb1bf15d2bc466579393cc294ba670b06e8bd7ff54461ee9b4a703f60c45",
+    ("structure", 8, 2): "dd108e3576f7948cbc36a421dc4909b3480cb52382a5749fe643a49b6035f3ee",
+    ("prop2a", 8, 1): "5cb9225dee54341467679bf138bfeddb313f9982e053cab4c17a56bdd0840d3c",
+    ("prop2a", 9, 1): "f19c680697684a7fe9d150421373a4b64e5f1b148a2e8ef57e1b7a27111a28be",
+    ("prop2a", 7, 2): "cb9709d9f8cd58016ba46d0f92f8a5285a57d714d5cae8e8d88866b4db613400",
+    ("prop2a", 8, 2): "ff05c1f2f1ce4a09c94686bd8def1676edee206e71e178e2edf2ace1bdfad266",
+}
+
+AUDITS = {"prop1": audit_prop1, "structure": audit_structure, "prop2a": audit_prop2_reading_a}
+
+
+@pytest.mark.parametrize("name,n,k", sorted(AUDIT_DIGESTS))
+def test_audit_json_is_frozen(name, n, k):
+    data = AUDITS[name](n, k).to_json()
+    assert data["audit"] == name
+    assert _digest(json.dumps(data, sort_keys=True)) == AUDIT_DIGESTS[(name, n, k)]
+
+
+def test_labeled_family_text_is_frozen():
+    fam = enumerate_family(PowerParams(6, 2))
+    text = format_hypergraph_text(fam.hypergraph(LABELED_ORDERS))
+    assert _digest(text) == "70aba3499e41df6d36d8e0e0892d54b8cd4957204708da59bd5d5e53f27e1543"
