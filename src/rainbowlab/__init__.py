@@ -5,194 +5,20 @@ intersection-profile diagnostics), a family layer (k-th powers of Hamilton
 cycles with exhaustive bound audits), and an experimental layer (rainbow
 moment checks, the two-round fragment process, and seeded threshold grids
 with an exact backtracking search).
+
+Each module's ``__all__`` is its public surface; the package re-exports them.
 """
 
-from .errors import BudgetError, InputError
-from .fragments import (
-    STAGED,
-    UPFRONT,
-    ClassificationOutcome,
-    FragmentRecord,
-    ThirdStageOutcome,
-    TwoRoundConfig,
-    TwoRoundRecord,
-    classify_fragments,
-    default_omega,
-    expected_nu_r,
-    min_fragment,
-    run_third_stage,
-    run_two_round,
-    sample_w0,
-)
-from .hampow import (
-    AuditReport,
-    AuditRow,
-    ChainBound,
-    ExtensionCount,
-    PowerFamily,
-    PowerParams,
-    StructureReport,
-    SubgraphStats,
-    audit_prop1,
-    audit_prop2_reading_a,
-    audit_prop2_reading_b,
-    audit_structure,
-    canonical_orders,
-    component_tally,
-    components_of,
-    count_extensions,
-    enumerate_family,
-    f_chain_bound,
-    order_count,
-    power_edge_set,
-    prop1_bound,
-    prop2_bound,
-    structure_check,
-)
-from .hypergraph import (
-    DISTINCT_SETS,
-    LABELED_ORDERS,
-    GroundSet,
-    Hypergraph,
-    IntersectionProfile,
-    K0Report,
-    SpreadReport,
-    alpha_cut,
-    count_superedges,
-    format_hypergraph_text,
-    intersection_profile,
-    max_profile,
-    pair_id,
-    pair_of,
-    read_hypergraph_text,
-    required_k0,
-    spread_up_to,
-)
-from .rainbow import (
-    Coloring,
-    MomentReport,
-    RainbowStats,
-    default_color_count,
-    empirical_moments,
-    exact_second_moment,
-    expected_rainbow_count,
-    expected_rainbow_profile,
-    falling,
-    fsum_ratio_bound,
-    rainbow_subfamily,
-    random_coloring,
-)
-from .seeding import make_rng, mix, splitmix64
-from .threshold import (
-    ExperimentConfig,
-    FailureFit,
-    GridResults,
-    GridRow,
-    Instance,
-    TrialResult,
-    emit_report,
-    fit_failure_constant,
-    format_instance_text,
-    rainbow_power_search,
-    read_instance_text,
-    run_grid,
-    sample_instance,
-    wilson_interval,
-)
+from . import errors, fragments, hampow, hypergraph, rainbow, seeding, threshold
+from .errors import *
+from .fragments import *
+from .hampow import *
+from .hypergraph import *
+from .rainbow import *
+from .seeding import *
+from .threshold import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "BudgetError",
-    "InputError",
-    # hypergraph layer
-    "DISTINCT_SETS",
-    "LABELED_ORDERS",
-    "GroundSet",
-    "Hypergraph",
-    "IntersectionProfile",
-    "K0Report",
-    "SpreadReport",
-    "alpha_cut",
-    "count_superedges",
-    "format_hypergraph_text",
-    "intersection_profile",
-    "max_profile",
-    "pair_id",
-    "pair_of",
-    "read_hypergraph_text",
-    "required_k0",
-    "spread_up_to",
-    # Hamilton powers
-    "AuditReport",
-    "AuditRow",
-    "ChainBound",
-    "ExtensionCount",
-    "PowerFamily",
-    "PowerParams",
-    "StructureReport",
-    "SubgraphStats",
-    "audit_prop1",
-    "audit_prop2_reading_a",
-    "audit_prop2_reading_b",
-    "audit_structure",
-    "canonical_orders",
-    "component_tally",
-    "components_of",
-    "count_extensions",
-    "enumerate_family",
-    "f_chain_bound",
-    "order_count",
-    "power_edge_set",
-    "prop1_bound",
-    "prop2_bound",
-    "structure_check",
-    # rainbow moments
-    "Coloring",
-    "MomentReport",
-    "RainbowStats",
-    "default_color_count",
-    "empirical_moments",
-    "exact_second_moment",
-    "expected_rainbow_count",
-    "expected_rainbow_profile",
-    "falling",
-    "fsum_ratio_bound",
-    "rainbow_subfamily",
-    "random_coloring",
-    # fragments
-    "STAGED",
-    "UPFRONT",
-    "ClassificationOutcome",
-    "FragmentRecord",
-    "ThirdStageOutcome",
-    "TwoRoundConfig",
-    "TwoRoundRecord",
-    "classify_fragments",
-    "default_omega",
-    "expected_nu_r",
-    "min_fragment",
-    "run_third_stage",
-    "run_two_round",
-    "sample_w0",
-    # seeding
-    "make_rng",
-    "mix",
-    "splitmix64",
-    # threshold experiments
-    "ExperimentConfig",
-    "FailureFit",
-    "GridResults",
-    "GridRow",
-    "Instance",
-    "TrialResult",
-    "emit_report",
-    "fit_failure_constant",
-    "format_instance_text",
-    "rainbow_power_search",
-    "read_instance_text",
-    "run_grid",
-    "sample_instance",
-    "wilson_interval",
-]
+_MODULES = (errors, hypergraph, hampow, rainbow, fragments, seeding, threshold)
+__all__ = ["__version__", *(name for module in _MODULES for name in module.__all__)]

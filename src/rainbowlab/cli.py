@@ -166,6 +166,8 @@ def cmd_audit_prop2(args) -> int:
         _need_n(args)
         report = hampow.audit_prop2_reading_a(args.n, args.k, budget=args.budget)
     else:
+        if args.n is not None:
+            raise InputError("reading (b) takes its n range from --n-min/--n-max, not --n")
         n_values = list(range(args.n_min, args.n_max + 1))
         report = hampow.audit_prop2_reading_b(n_values, args.k)
     _emit(report.to_json(), args, f"audit_prop2_{args.reading}_k{args.k}.json")
@@ -190,13 +192,12 @@ def cmd_moments(args) -> int:
     _need_n(args)
     if args.trials < 0:
         raise InputError("--trials must be >= 0 (0 runs the exact moments only)")
-    seed = _resolve_seed(args)
     fam = _family(args)
     hg = fam.hypergraph(args.semantics)
     q = args.q if args.q is not None else rainbow.default_color_count(hg.r, args.epsilon1)
     if args.trials > 0:
         report = rainbow.empirical_moments(
-            hg, q, trials=args.trials, seed=seed, pair_budget=args.pair_budget
+            hg, q, trials=args.trials, seed=_resolve_seed(args), pair_budget=args.pair_budget
         )
         payload = report.to_json()
     else:
@@ -320,8 +321,10 @@ def cmd_report(args) -> int:
         raise InputError(f"{path} is not valid JSON: {exc}")
     try:
         results = threshold.GridResults.from_json(data)
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"{path} does not look like a grid summary: missing {exc}")
+    except KeyError as exc:
+        raise InputError(f"{path} does not look like a grid summary: missing field {exc}")
+    except TypeError as exc:
+        raise InputError(f"{path} does not look like a grid summary: {exc}")
     timing = args.timing or bool(data.get("timing"))
     paths = threshold.emit_report(results, args.out_dir, svg=not args.no_svg, timing=timing)
     for p in paths:

@@ -68,27 +68,19 @@ class TwoRoundConfig:
     """Parameters of one two-round trial over a Hamilton-power family.
 
     The exposure size is m = min(N, ceil(C * N / kappa_hat)) with the nominal
-    spread kappa_hat = n^(1/k) unless overridden, and p1 = m/N.  An explicit
-    hypergraph may replace the power family, in which case kappa_hat is
-    required.
+    spread kappa_hat = n^(1/k), and p1 = m/N.
     """
 
     q: int
     C: float
     epsilon1: float
     seed: int
-    params: PowerParams | None = None
-    hypergraph: Hypergraph | None = None
+    params: PowerParams
     omega: int | None = None
     coloring_mode: str = UPFRONT
-    kappa_hat: float | None = None
     order_budget: int = DEFAULT_ORDER_BUDGET
 
     def __post_init__(self):
-        if (self.params is None) == (self.hypergraph is None):
-            raise InputError("provide exactly one of params or hypergraph")
-        if self.hypergraph is not None and self.kappa_hat is None:
-            raise InputError("kappa_hat is required with an explicit hypergraph")
         if self.q < 1:
             raise InputError(f"palette size q must be >= 1, got {self.q}")
         if self.C <= 0:
@@ -107,18 +99,14 @@ class TwoRoundConfig:
 
     @property
     def n_elements(self) -> int:
-        if self.params is not None:
-            return self.params.ground_size
-        return self.hypergraph.ground.size
+        return self.params.ground_size
 
     @property
     def r(self) -> int:
-        return self.params.r if self.params is not None else self.hypergraph.r
+        return self.params.r
 
     @property
     def kappa_nominal(self) -> float:
-        if self.kappa_hat is not None:
-            return self.kappa_hat
         return self.params.n ** (1 / self.params.k)
 
     @property
@@ -135,14 +123,12 @@ class TwoRoundConfig:
         return self.omega if self.omega is not None else default_omega(self.r)
 
     def family(self) -> Hypergraph:
-        if self.hypergraph is not None:
-            return self.hypergraph
         return enumerate_family(self.params, budget=self.order_budget).hypergraph(DISTINCT_SETS)
 
     def echo(self) -> dict:
         return {
-            "n": self.params.n if self.params else None,
-            "k": self.params.k if self.params else None,
+            "n": self.params.n,
+            "k": self.params.k,
             "q": self.q,
             "C": self.C,
             "m": self.m,
@@ -261,7 +247,7 @@ def run_third_stage(
     w0: Sequence[int],
     coloring: Coloring,
     rng,
-    hstar: Hypergraph | None = None,
+    hstar: Hypergraph,
 ) -> ThirdStageOutcome:
     """Second exposure plus fragment acceptance.
 
@@ -271,8 +257,6 @@ def run_third_stage(
     found_rainbow checks containment of some member of H* in W0 u W1
     directly, independent of the acceptance draws.
     """
-    if hstar is None:
-        hstar = rainbow_subfamily(config.family(), coloring)
     p1 = config.p1
     omega = config.omega_resolved
     eps_p = config.epsilon1 * p1

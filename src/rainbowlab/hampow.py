@@ -38,8 +38,6 @@ __all__ = [
     "PowerParams",
     "PowerFamily",
     "SubgraphStats",
-    "ExtensionCount",
-    "StructureReport",
     "ChainBound",
     "AuditRow",
     "AuditReport",
@@ -50,9 +48,7 @@ __all__ = [
     "components_of",
     "prop1_bound",
     "prop2_bound",
-    "count_extensions",
     "component_tally",
-    "structure_check",
     "f_chain_bound",
     "audit_prop1",
     "audit_structure",
@@ -343,28 +339,6 @@ class StructureReport:
     @property
     def ok(self) -> bool:
         return self.overall_ok and all(self.component_ok)
-
-
-def structure_check(
-    edge_ids: Sequence[int],
-    params: PowerParams,
-    family: PowerFamily | None = None,
-    budget: int = DEFAULT_ORDER_BUDGET,
-) -> StructureReport:
-    """Verify the edge/vertex balance for a subgraph of some member power.
-
-    Raises InputError when the subgraph extends to no member (the balance is
-    only claimed for genuine subgraphs of k-th powers).
-    """
-    ids = tuple(sorted(set(edge_ids)))
-    if not ids:
-        raise InputError("structure check needs at least one edge")
-    _check_t_range(params.n, params.k, len(ids))
-    if family is None:
-        family = enumerate_family(params, budget=budget)
-    if count_extensions(family, ids).orders == 0:
-        raise InputError(f"edges {ids} extend to no member of the ({params.n}, {params.k}) family")
-    return _structure_report(ids, params.k)
 
 
 def _structure_report(ids: Sequence[int], k: int) -> StructureReport:

@@ -35,7 +35,6 @@ __all__ = [
     "K0Report",
     "pair_id",
     "pair_of",
-    "count_superedges",
     "spread_up_to",
     "intersection_profile",
     "required_k0",

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BudgetError, InputError
-from .hypergraph import Hypergraph, IntersectionProfile, alpha_cut
+from .hypergraph import Hypergraph, alpha_cut
 from .seeding import make_rng
 
 __all__ = [
@@ -35,8 +35,6 @@ __all__ = [
     "rainbow_subfamily",
     "expected_rainbow_count",
     "exact_second_moment",
-    "fsum_ratio_bound",
-    "expected_rainbow_profile",
     "empirical_moments",
 ]
 
@@ -228,22 +226,6 @@ def fsum_ratio_bound(
     for t in range(t_cut + 1, r):
         total += math.exp(r * math.log(2.0) - t * math.log(kappa) + t * lq - log_fall[t])
     return total
-
-
-def expected_rainbow_profile(profile: IntersectionProfile, q: int) -> tuple[float, ...]:
-    """Expected rainbow intersection profile given the base member is rainbow.
-
-    Entry t is ((q-t)_{r-t} / q^{r-t}) * f_t: a member meeting the rainbow
-    base in t elements inherits t distinct colors for free and needs its other
-    r-t elements to dodge them and each other.  Zero whenever q < r.
-    """
-    if q < 1:
-        raise InputError(f"palette size q must be >= 1, got {q}")
-    r = profile.r
-    out = []
-    for t, f_t in enumerate(profile.counts):
-        out.append(falling(q - t, r - t) / q ** (r - t) * f_t if q - t >= 0 else 0.0)
-    return tuple(out)
 
 
 @dataclass(frozen=True)

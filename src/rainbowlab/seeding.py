@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import random
 
+__all__ = ["make_rng", "mix", "splitmix64"]
+
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 

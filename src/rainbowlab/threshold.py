@@ -47,7 +47,6 @@ __all__ = [
     "fit_failure_constant",
     "emit_report",
     "read_instance_text",
-    "format_instance_text",
 ]
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
@@ -319,6 +318,38 @@ class GridRow:
             return None, None
         return wilson_interval(self.successes, self.decided)
 
+    def to_json(self, timing: bool = False) -> dict:
+        """One summary row; its keys, in order, are also the CSV columns."""
+        lo, hi = self.wilson()
+        return {
+            "n": self.n,
+            "k": self.k,
+            "q": self.q,
+            "m": self.m,
+            "C": self.C,
+            "trials": self.trials,
+            "decided": self.decided,
+            "successes": self.successes,
+            "rate": self.rate,
+            "wilson_lo": lo,
+            "wilson_hi": hi,
+            "unknown": self.unknown,
+            "mean_nodes": self.mean_nodes,
+            "mean_ms": self.mean_ms if timing else 0.0,
+            "seed": self.seed,
+        }
+
+
+# Python types of the JSON values in a grid summary, keyed by the GridRow
+# annotations and two container names; a bool never passes as a number.
+_JSON_TYPES = {"int": int, "float": (int, float), "a JSON object": dict, "a JSON list": list}
+
+
+def _typed(value, expected: str, what: str):
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[expected]):
+        raise TypeError(f"{what} must be {expected}, got {type(value).__name__}")
+    return value
+
 
 @dataclass(frozen=True)
 class GridResults:
@@ -326,41 +357,26 @@ class GridResults:
     rows: tuple[GridRow, ...]
 
     def to_json(self, timing: bool = False) -> dict:
-        rows = []
-        for row in self.rows:
-            lo, hi = row.wilson()
-            rows.append(
-                {
-                    "n": row.n,
-                    "k": row.k,
-                    "q": row.q,
-                    "m": row.m,
-                    "C": row.C,
-                    "trials": row.trials,
-                    "decided": row.decided,
-                    "successes": row.successes,
-                    "rate": row.rate,
-                    "wilson_lo": lo,
-                    "wilson_hi": hi,
-                    "unknown": row.unknown,
-                    "mean_nodes": row.mean_nodes,
-                    "mean_ms": row.mean_ms if timing else 0.0,
-                    "seed": row.seed,
-                }
-            )
+        rows = [row.to_json(timing) for row in self.rows]
         return {"config": self.config, "timing": timing, "rows": rows}
 
     @classmethod
     def from_json(cls, data: dict) -> "GridResults":
         """Inverse of to_json.  rate and the Wilson bounds are derived, so they
         are not read back; a summary without mean_ms restores it as 0.0.
-        Raises KeyError or TypeError when a field is missing or misshapen."""
-        names = [f.name for f in fields(GridRow) if f.name != "mean_ms"]
-        rows = tuple(
-            GridRow(**{name: row[name] for name in names}, mean_ms=row.get("mean_ms", 0.0))
-            for row in data["rows"]
-        )
-        return cls(config=data.get("config", {}), rows=rows)
+        Raises KeyError when a field is missing and TypeError when one has the
+        wrong JSON type."""
+        _typed(data, "a JSON object", "the summary")
+        config = _typed(data.get("config", {}), "a JSON object", "config")
+        rows = []
+        for i, row in enumerate(_typed(data["rows"], "a JSON list", "rows")):
+            _typed(row, "a JSON object", f"row {i}")
+            values = {}
+            for f in fields(GridRow):
+                value = row.get(f.name, 0.0) if f.name == "mean_ms" else row[f.name]
+                values[f.name] = _typed(value, f.type, f"row {i} field {f.name!r}")
+            rows.append(GridRow(**values))
+        return cls(config=config, rows=tuple(rows))
 
 
 def _run_task(task: tuple) -> tuple[int, int, int, int, float]:
@@ -487,48 +503,35 @@ def fit_failure_constant(points: Iterable[tuple[int, float]]) -> FailureFit:
 # ----------------------------------------------------------------------------
 # reports
 
-CSV_HEADER = (
-    "n,k,q,m,C,trials,decided,successes,rate,wilson_lo,wilson_hi,"
-    "unknown,mean_nodes,mean_ms,seed"
-)
+# printf spec per CSV column; the integer columns are written with str().
+_CSV_SPECS = {
+    "C": "%.6g",
+    "rate": "%.6f",
+    "wilson_lo": "%.6f",
+    "wilson_hi": "%.6f",
+    "mean_nodes": "%.3f",
+    "mean_ms": "%.3f",
+}
 
 
-def _fmt(x: float | None, spec: str = "%.6f") -> str:
-    return "" if x is None else spec % x
+def _csv_cell(key: str, value) -> str:
+    if value is None:
+        return ""
+    spec = _CSV_SPECS.get(key)
+    return str(value) if spec is None else spec % value
 
 
 def format_csv(results: GridResults, timing: bool = False) -> str:
-    """Canonical CSV: byte-identical for identical results.
+    """Canonical CSV of the summary rows: byte-identical for identical results.
 
     Wall-clock means are volatile, so mean_ms is written as 0.000 unless
     timing is requested (which marks the file non-reproducible).
     """
     if not results.rows:
         raise InputError("no results to report")
-    lines = [CSV_HEADER]
-    for row in results.rows:
-        lo, hi = row.wilson()
-        lines.append(
-            ",".join(
-                [
-                    str(row.n),
-                    str(row.k),
-                    str(row.q),
-                    str(row.m),
-                    "%.6g" % row.C,
-                    str(row.trials),
-                    str(row.decided),
-                    str(row.successes),
-                    _fmt(row.rate),
-                    _fmt(lo),
-                    _fmt(hi),
-                    str(row.unknown),
-                    "%.3f" % row.mean_nodes,
-                    "%.3f" % row.mean_ms if timing else "0.000",
-                    str(row.seed),
-                ]
-            )
-        )
+    rows = [row.to_json(timing) for row in results.rows]
+    lines = [",".join(rows[0])]
+    lines += [",".join(_csv_cell(key, value) for key, value in row.items()) for row in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -80,6 +80,15 @@ def test_empty_reading_b_range_is_input_error(capsys):
     assert "at least one n" in err
 
 
+def test_reading_b_rejects_n(capsys):
+    code, out, err = run_cli(
+        capsys, "audit-prop2", "--reading", "b", "--n", "30", "--n-min", "4", "--n-max", "5"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "--n-min" in err and "--n-max" in err
+
+
 def test_zero_sweep_trials_is_input_error(capsys):
     code, out, err = run_cli(
         capsys, "fragment", "--n", "7", "--k", "1", "--sweep", "1,2",
@@ -146,6 +155,14 @@ def test_seed_fallback_is_announced(capsys):
     assert json.loads(out)["seed"] == DEFAULT_SEED
 
 
+def test_exact_moments_need_no_seed(capsys):
+    code, out, err = run_cli(capsys, "moments", "--n", "5", "--k", "1",
+                             "--q", "6", "--trials", "0")
+    assert code == 0
+    assert err == ""
+    assert "seed" not in json.loads(out)
+
+
 def test_explicit_seed_is_not_announced(capsys):
     _, out, err = run_cli(capsys, "moments", "--n", "5", "--k", "1",
                           "--q", "6", "--trials", "50", "--seed", "4")
@@ -195,6 +212,38 @@ def test_report_round_trips_grid_outputs(capsys, tmp_path):
     )
     assert code == 0
     assert (second / "results.csv").read_bytes() == (first / "results.csv").read_bytes()
+
+
+def report_error(capsys, tmp_path, summary):
+    path = tmp_path / "summary.json"
+    path.write_text(json.dumps(summary))
+    code, out, err = run_cli(
+        capsys, "report", "--input", str(path), "--out-dir", str(tmp_path / "out")
+    )
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    return err
+
+
+GRID_ROW = {
+    "n": 6, "k": 1, "q": 8, "m": 6, "C": 0.5, "trials": 4, "decided": 4,
+    "successes": 0, "unknown": 0, "mean_nodes": 0.0, "mean_ms": 0.0, "seed": 2,
+}
+
+
+def test_report_names_a_missing_field(capsys, tmp_path):
+    row = {key: value for key, value in GRID_ROW.items() if key != "k"}
+    assert "missing field 'k'" in report_error(capsys, tmp_path, {"rows": [row]})
+    assert "missing field 'rows'" in report_error(capsys, tmp_path, {"config": {}})
+
+
+def test_report_names_a_mistyped_field(capsys, tmp_path):
+    err = report_error(capsys, tmp_path, {"rows": [dict(GRID_ROW, decided="10")]})
+    assert "row 0 field 'decided' must be int, got str" in err
+    err = report_error(capsys, tmp_path, {"rows": [[1, 2]]})
+    assert "row 0 must be a JSON object, got list" in err
+    assert "missing" not in err
 
 
 def test_fragment_sweep_reports_rates_and_fit(capsys):

@@ -70,26 +70,6 @@ def test_config_m_clamps_at_full_ground_set():
     assert cfg.m == 21
 
 
-def test_config_requires_exactly_one_family_source():
-    with pytest.raises(InputError):
-        TwoRoundConfig(q=9, C=1.0, epsilon1=0.5, seed=1)
-    with pytest.raises(InputError):
-        TwoRoundConfig(
-            q=9, C=1.0, epsilon1=0.5, seed=1,
-            params=PowerParams(7, 1), hypergraph=toy_hstar(), kappa_hat=2.0,
-        )
-
-
-def test_config_explicit_hypergraph_needs_kappa_hat():
-    with pytest.raises(InputError):
-        TwoRoundConfig(q=9, C=1.0, epsilon1=0.5, seed=1, hypergraph=toy_hstar())
-    cfg = TwoRoundConfig(
-        q=9, C=1.0, epsilon1=0.5, seed=1, hypergraph=toy_hstar(), kappa_hat=2.0
-    )
-    assert cfg.n_elements == 6
-    assert cfg.m == 3  # ceil(1 * 6 / 2)
-
-
 def test_config_rejects_bad_mode_and_slack():
     with pytest.raises(InputError):
         staged_config().__class__(

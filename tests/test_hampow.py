@@ -31,7 +31,6 @@ from rainbowlab.hampow import (
     power_edge_set,
     prop1_bound,
     prop2_bound,
-    structure_check,
 )
 from rainbowlab.hypergraph import (
     DISTINCT_SETS,
@@ -317,24 +316,6 @@ def test_component_tally_reading_b_matches_brute_force():
 
 # ----------------------------------------------------------------------------
 # structure checks
-
-def test_structure_check_passes_for_member_subsets():
-    params = PowerParams(7, 1)
-    fam = enumerate_family(params)
-    member = fam.edge_sets[0]
-    for size in (1, 2):
-        for sub in list(combinations(member, size))[:10]:
-            rep = structure_check(sub, params, family=fam)
-            assert rep.ok
-
-
-def test_structure_check_rejects_non_extendable():
-    params = PowerParams(6, 1)
-    fam = enumerate_family(params)
-    triangle = (pair_id(0, 1), pair_id(1, 2), pair_id(0, 2))
-    with pytest.raises(InputError):
-        structure_check(triangle, params, family=fam)
-
 
 def test_structure_report_flags_dense_component():
     # triangle at k=1: one component with e=3 > kv - (2k-1) = 2

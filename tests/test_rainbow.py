@@ -16,7 +16,6 @@ from rainbowlab.hypergraph import (
     LABELED_ORDERS,
     GroundSet,
     Hypergraph,
-    intersection_profile,
 )
 from rainbowlab.rainbow import (
     Coloring,
@@ -24,7 +23,6 @@ from rainbowlab.rainbow import (
     empirical_moments,
     exact_second_moment,
     expected_rainbow_count,
-    expected_rainbow_profile,
     falling,
     fsum_ratio_bound,
     rainbow_subfamily,
@@ -209,17 +207,6 @@ def test_fsum_ratio_bound_recomputed_directly():
     for t in range(2, r):
         want += 2**r / kappa**t * q**t / ff(q, t)
     assert fsum_ratio_bound(m, q, r, kappa, k0, alpha) == pytest.approx(want)
-
-
-def test_expected_rainbow_profile_by_hand():
-    hg = cycle_family(5)
-    prof = intersection_profile(hg, 0)
-    q, r = 6, 5
-    got = expected_rainbow_profile(prof, q)
-    for t, f_t in enumerate(prof.counts):
-        assert got[t] == pytest.approx(ff(q - t, r - t) / q ** (r - t) * f_t)
-    # the base member itself survives with probability 1
-    assert got[r] == pytest.approx(1.0)
 
 
 # ----------------------------------------------------------------------------
