@@ -168,6 +168,10 @@ def cmd_audit_prop2(args) -> int:
     else:
         if args.n is not None:
             raise InputError("reading (b) takes its n range from --n-min/--n-max, not --n")
+        if args.k >= 1 and args.n_min < 2 * args.k + 2:
+            raise InputError(
+                f"--n-min must be at least 2k+2 = {2 * args.k + 2} for --k {args.k}, got {args.n_min}"
+            )
         n_values = list(range(args.n_min, args.n_max + 1))
         report = hampow.audit_prop2_reading_b(n_values, args.k)
     _emit(report.to_json(), args, f"audit_prop2_{args.reading}_k{args.k}.json")

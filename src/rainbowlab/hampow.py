@@ -101,6 +101,20 @@ def canonical_orders(n: int) -> Iterator[tuple[int, ...]]:
             yield (0,) + rest
 
 
+def _power_table(n: int, k: int) -> tuple[list[list[int | None]], tuple[tuple[int, int], ...]]:
+    """pid[a][b] = pair_id(a, b), and the position links (i, i+j mod n), j = 1..k."""
+    pid = [[pair_id(a, b) if a != b else None for b in range(n)] for a in range(n)]
+    links = tuple((i, (i + j) % n) for i in range(n) for j in range(1, k + 1))
+    return pid, links
+
+
+def _power_of(order: Sequence[int], pid, links) -> tuple[int, ...]:
+    """Sorted element ids of the power of a valid order, from its _power_table."""
+    ids = {pid[order[i]][order[j]] for i, j in links}
+    assert len(ids) == len(links), "power must have exactly kn edges for n >= 2k+2"
+    return tuple(sorted(ids))
+
+
 def power_edge_set(order: Sequence[int], k: int) -> tuple[int, ...]:
     """Sorted element ids of the k-th power of the given cyclic order."""
     n = len(order)
@@ -108,13 +122,7 @@ def power_edge_set(order: Sequence[int], k: int) -> tuple[int, ...]:
         raise InputError(f"need n >= 2k+2 = {2 * k + 2}, got n={n}")
     if sorted(order) != list(range(n)):
         raise InputError("order must be a permutation of 0..n-1")
-    ids = set()
-    for i in range(n):
-        a = order[i]
-        for j in range(1, k + 1):
-            ids.add(pair_id(a, order[(i + j) % n]))
-    assert len(ids) == k * n, "power must have exactly kn edges for n >= 2k+2"
-    return tuple(sorted(ids))
+    return _power_of(order, *_power_table(n, k))
 
 
 @dataclass(frozen=True)
@@ -171,8 +179,10 @@ def enumerate_family(params: PowerParams, budget: int = DEFAULT_ORDER_BUDGET) ->
     if cached is not None:
         return cached
 
+    # canonical orders are valid by construction, so skip power_edge_set's checks
+    pid, links = _power_table(params.n, params.k)
     orders = tuple(canonical_orders(params.n))
-    order_sets = tuple(power_edge_set(o, params.k) for o in orders)
+    order_sets = tuple(_power_of(o, pid, links) for o in orders)
     distinct = sorted(set(order_sets))
     fam = PowerFamily(
         params=params,
@@ -315,12 +325,98 @@ def component_tally(edge_ids: Sequence[int], t: int, reading: str) -> dict[int, 
     elif reading == "b":
         if t < 1 or t > len(ids):
             raise InputError(f"t={t} out of range for a host with {len(ids)} edges")
-        for sub in combinations(ids, t):
-            stats, _ = components_of(sub)
-            tally[stats.c] = tally.get(stats.c, 0) + 1
+        # brute force, kept as the oracle of _member_tallies: each component
+        # is a vertex bitmask, merged with every edge that touches it
+        ends = [(1 << u) | (1 << v) for u, v in map(pair_of, ids)]
+        for sub in combinations(ends, t):
+            comps: list[int] = []
+            for m in sub:
+                rest = []
+                for x in comps:
+                    if x & m:
+                        m |= x
+                    else:
+                        rest.append(x)
+                rest.append(m)
+                comps = rest
+            tally[len(comps)] = tally.get(len(comps), 0) + 1
     else:
         raise InputError(f"reading must be 'a' or 'b', got {reading!r}")
     return tally
+
+
+def _canonical(labels: tuple[int, ...]) -> tuple[int, ...]:
+    """Renumber nonzero block labels 1, 2, ... by first appearance."""
+    seen: dict[int, int] = {}
+    return tuple(seen.setdefault(x, len(seen) + 1) if x else 0 for x in labels)
+
+
+def _join(labels: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
+    """Labels after an edge joins the vertices at positions a and b."""
+    la, lb = labels[a], labels[b]
+    if la and lb:
+        return labels if la == lb else tuple(la if x == lb else x for x in labels)
+    out = list(labels)
+    out[a] = out[b] = la or lb or max(labels) + 1
+    return tuple(out)
+
+
+def _member_tallies(n: int, k: int, t_max: int) -> list[dict[int, int]]:
+    """tallies[t][c] = number of t-edge subgraphs of C_n^k with c components
+    (isolated vertices ignored), for every t <= t_max; tallies[0] is empty.
+
+    Transfer-matrix sweep over the vertices v = 0..n-1 of the identity
+    power.  Step v decides the edges {v-j, v} (v-j >= 0) and the wrap edges
+    {v, v+j-n} (v+j >= n), j = 1..k, so every power edge is decided once.  A
+    state is the tuple of block labels of the active vertices -- 0..k-1,
+    which the wrap edges need until the end, and the last k swept -- with 0
+    for a vertex no chosen edge touches.  Vertex u >= k retires after step
+    u+k; a label that leaves the active set is a finished component.
+
+    Each state carries its generating polynomial sum count * x^t * y^c (c
+    counting finished components) packed into one integer, a slot of `bits`
+    bits per (t, c) at offset bits * (t * (t_max+1) + c): choosing an edge
+    shifts by one t row and masks off t > t_max, finishing a component
+    shifts by one slot (c <= t, so it never spills into the next row), and
+    merging states adds.  No slot exceeds C(kn, t), so none carries.
+    """
+    width = t_max + 1
+    bits = max(math.comb(k * n, t) for t in range(width)).bit_length()
+    row = bits * width
+    keep = (1 << row * width) - 1
+    active: list[int] = []
+    states: dict[tuple[int, ...], int] = {(): 1}
+    for v in range(n):
+        active.append(v)
+        states = {s + (0,): p for s, p in states.items()}
+        here = len(active) - 1
+        partners = [v - j for j in range(1, min(k, v) + 1)] + list(range(v + k - n + 1))
+        for u in partners:
+            a = active.index(u)
+            grown = dict(states)
+            for s, p in states.items():
+                s2 = _join(s, a, here)
+                grown[s2] = grown.get(s2, 0) + ((p << row) & keep)
+            states = grown
+        gone = active.index(v - k) if v - k >= k else None
+        merged: dict[tuple[int, ...], int] = {}
+        for s, p in states.items():
+            if gone is not None:
+                label, s = s[gone], s[:gone] + s[gone + 1:]
+                if label and label not in s:
+                    p <<= bits
+            s = _canonical(s)
+            merged[s] = merged.get(s, 0) + p
+        states = merged
+        if gone is not None:
+            del active[gone]
+    # every label still present is a component; canonical labels run 1..max
+    total = sum(p << bits * max(s) for s, p in states.items())
+    slot = (1 << bits) - 1
+    return [
+        {c: cnt for c in range(1, t + 1) if (cnt := total >> bits * (t * width + c) & slot)}
+        for t in range(width)
+    ]
 
 
 @dataclass(frozen=True)
@@ -538,10 +634,13 @@ def audit_prop2_reading_b(n_values: Iterable[int], k: int) -> AuditReport:
     """Reading (b): count t-edge subgraphs of one member by component count.
 
     Member powers are vertex-transitive, so one member per (n, k) represents
-    them all; the identity order's power is used.  All (t, c) cells are
-    reported and violations listed -- this reading genuinely fails at desk
-    scale (first at n=22, k=1, t=1, c=1, where a cycle has n single-edge
-    subgraphs against a bound just under 22).
+    them all: the identity order's power.  Every (t, c) cell for t <= n/3k
+    comes from one transfer-matrix sweep around it (_member_tallies), so n
+    in the hundreds is cheap; brute force over t-subsets (component_tally)
+    is kept only as the test oracle.  `checked` counts the tallied subgraphs,
+    sum_t C(kn, t).  All cells are reported and violations listed -- this
+    reading genuinely fails at desk scale (first at n=22, k=1, t=1, c=1,
+    where a cycle has n single-edge subgraphs against a bound just under 22).
     """
     n_values = sorted(set(n_values))
     if not n_values:
@@ -550,11 +649,10 @@ def audit_prop2_reading_b(n_values: Iterable[int], k: int) -> AuditReport:
     checked = 0
     for n in n_values:
         params = PowerParams(n, k)
-        member = power_edge_set(tuple(range(n)), k)
+        tallies = _member_tallies(n, k, params.t_max)
         for t in range(1, params.t_max + 1):
-            tally = component_tally(member, t, "b")
-            checked += sum(tally.values())
-            rows.extend(_prop2_rows(n, k, t, tally))
+            checked += sum(tallies[t].values())
+            rows.extend(_prop2_rows(n, k, t, tallies[t]))
     violations = [row for row in rows if not row.passed]
     return AuditReport(
         name="prop2b", rows=tuple(rows), violations=tuple(violations), checked=checked

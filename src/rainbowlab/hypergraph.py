@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import BudgetError, InputError
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
 
 from .errors import BudgetError, InputError
 from .hypergraph import Hypergraph, alpha_cut

@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
-from .errors import BudgetError, InputError
+from .errors import InputError
 from .hypergraph import pair_id, pair_of
 from .seeding import make_rng
 

@@ -89,6 +89,18 @@ def test_reading_b_rejects_n(capsys):
     assert err.startswith("error:") and "--n-min" in err and "--n-max" in err
 
 
+def test_reading_b_names_n_min_below_2k_plus_2(capsys):
+    code, out, err = run_cli(capsys, "audit-prop2", "--reading", "b", "--k", "2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "--n-min" in err and "2k+2 = 6" in err
+    code, out, _ = run_cli(
+        capsys, "audit-prop2", "--reading", "b", "--k", "2", "--n-min", "6", "--n-max", "7"
+    )
+    assert code == 0
+    assert json.loads(out)["checked"] == 12 + 14
+
+
 def test_zero_sweep_trials_is_input_error(capsys):
     code, out, err = run_cli(
         capsys, "fragment", "--n", "7", "--k", "1", "--sweep", "1,2",

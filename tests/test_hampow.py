@@ -16,6 +16,7 @@ from rainbowlab.errors import BudgetError, InputError
 from rainbowlab.hampow import (
     PowerFamily,
     PowerParams,
+    _member_tallies,
     _structure_report,
     audit_prop1,
     audit_prop2_reading_a,
@@ -174,13 +175,14 @@ def test_each_order_power_is_computed_once(monkeypatch):
     import rainbowlab.hampow as hampow
 
     calls = []
+    power_of = hampow._power_of
 
-    def counting(order, k):
+    def counting(order, pid, links):
         calls.append(order)
-        return power_edge_set(order, k)
+        return power_of(order, pid, links)
 
     monkeypatch.setattr(hampow, "_family_cache", {})
-    monkeypatch.setattr(hampow, "power_edge_set", counting)
+    monkeypatch.setattr(hampow, "_power_of", counting)
     fam = enumerate_family(PowerParams(7, 1))
     fam.hypergraph(LABELED_ORDERS)
     fam.order_masks
@@ -303,15 +305,52 @@ def test_component_tally_reading_a_requires_exact_size():
 
 
 def test_component_tally_reading_b_matches_brute_force():
-    order = next(canonical_orders(6))
-    member = power_edge_set(order, 1)
-    tally = component_tally(member, 2, reading="b")
-    want = {}
-    for sub in combinations(member, 2):
-        c = components_of(sub)[0].c
-        want[c] = want.get(c, 0) + 1
-    assert tally == want
-    assert sum(tally.values()) == math.comb(6, 2)
+    cases = [
+        (next(canonical_orders(6)), 1, 2),
+        ((0, 2, 4, 1, 6, 3, 5), 1, 3),
+        ((0, 3, 1, 6, 2, 5, 4), 2, 3),
+        (tuple(range(8)), 3, 2),
+    ]
+    for order, k, t in cases:
+        member = power_edge_set(order, k)
+        tally = component_tally(member, t, reading="b")
+        want = {}
+        for sub in combinations(member, t):
+            c = components_of(sub)[0].c
+            want[c] = want.get(c, 0) + 1
+        assert tally == want, (order, k, t)
+        assert sum(tally.values()) == math.comb(k * len(order), t)
+
+
+def test_member_tallies_match_brute_force():
+    # every t <= min(5, kn), past t_max, so that the sweep meets more states
+    for k in (1, 2, 3):
+        for n in range(2 * k + 2, 2 * k + 11):
+            member = power_edge_set(tuple(range(n)), k)
+            t_top = min(5, k * n)
+            tallies = _member_tallies(n, k, t_top)
+            assert tallies[0] == {}
+            for t in range(1, t_top + 1):
+                assert tallies[t] == component_tally(member, t, "b"), (n, k, t)
+
+
+def test_member_tallies_match_the_cycle_closed_form():
+    # k=1: t edges of C_n with c components in (n/c) C(t-1, c-1) C(n-t-1, c-1) ways
+    for n in range(4, 61):
+        tallies = _member_tallies(n, 1, n // 3)
+        for t in range(1, n // 3 + 1):
+            want = {
+                c: n * math.comb(t - 1, c - 1) * math.comb(n - t - 1, c - 1) // c
+                for c in range(1, t + 1)
+            }
+            assert tallies[t] == {c: cnt for c, cnt in want.items() if cnt}, (n, t)
+
+
+@pytest.mark.parametrize("n,cells", [(50, 2), (100, 5)])
+def test_audit_prop2_reading_b_scales_to_n_100(n, cells):
+    rep = audit_prop2_reading_b([n], 1)
+    assert len(rep.violations) == cells
+    assert rep.checked == sum(math.comb(n, t) for t in range(1, n // 3 + 1))
 
 
 # ----------------------------------------------------------------------------
@@ -436,6 +475,11 @@ AUDIT_DIGESTS = {
     ("prop2a", 8, 2): "ff05c1f2f1ce4a09c94686bd8def1676edee206e71e178e2edf2ace1bdfad266",
 }
 
+READING_B_DIGESTS = {
+    (range(4, 23), 1): "639888c7e3e67128d6973e5c124f219776ef99d23a8b9a436489e64ec482b1d6",
+    (range(6, 25), 2): "54cd3337e56ca89dd41739ebb225f173c644962f78ac21a44d158c8d5aa79ce8",
+}
+
 AUDITS = {"prop1": audit_prop1, "structure": audit_structure, "prop2a": audit_prop2_reading_a}
 
 
@@ -444,6 +488,15 @@ def test_audit_json_is_frozen(name, n, k):
     data = AUDITS[name](n, k).to_json()
     assert data["audit"] == name
     assert _digest(json.dumps(data, sort_keys=True)) == AUDIT_DIGESTS[(name, n, k)]
+
+
+@pytest.mark.parametrize("n_values,k", list(READING_B_DIGESTS), ids=["k1", "k2"])
+def test_audit_prop2_reading_b_json_is_frozen(n_values, k):
+    data = audit_prop2_reading_b(n_values, k).to_json()
+    assert data["checked"] == sum(
+        math.comb(k * n, t) for n in n_values for t in range(1, n // (3 * k) + 1)
+    )
+    assert _digest(json.dumps(data, sort_keys=True)) == READING_B_DIGESTS[(n_values, k)]
 
 
 def test_labeled_family_text_is_frozen():
