@@ -162,6 +162,10 @@ def cmd_audit_prop1(args) -> int:
 
 
 def cmd_audit_prop2(args) -> int:
+    other_reading = {"a": ("--n-min", "--n-max"), "b": ("--budget",)}[args.reading]
+    for flag in other_reading:
+        if flag in getattr(args, "given", ()):
+            raise InputError(f"{flag} does not apply to reading ({args.reading})")
     if args.reading == "a":
         _need_n(args)
         report = hampow.audit_prop2_reading_a(args.n, args.k, budget=args.budget)
@@ -339,6 +343,15 @@ def cmd_report(args) -> int:
 # ----------------------------------------------------------------------------
 # parser
 
+class _Given(argparse.Action):
+    """Store the value and add the flag to the namespace's `given` set, so a
+    handler can tell a flag on the command line from its default."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = getattr(namespace, "given", frozenset()) | {option_string}
+
+
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="rainbowlab",
@@ -370,8 +383,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         p.add_argument("--n", type=int, default=None, help="number of vertices")
         p.add_argument("--k", type=int, default=1, help="power of the Hamilton cycle")
 
-    def add_budget(p, default=hampow.DEFAULT_ORDER_BUDGET):
-        p.add_argument("--budget", type=int, default=default, help="enumeration budget (cyclic orders)")
+    def add_budget(p, help_text="enumeration budget (cyclic orders)", **kwargs):
+        p.add_argument("--budget", type=int, default=hampow.DEFAULT_ORDER_BUDGET, help=help_text, **kwargs)
 
     def add_semantics(p, input_file=False, help_text="member identity for the family"):
         if input_file:
@@ -406,17 +419,19 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--pair-budget", type=int, default=4_000_000, help="member-pair budget")
     p.set_defaults(func=cmd_profile)
 
+    audit_work = "work budget: member subgraphs walked plus placement-search nodes"
+
     p = add("audit-prop1", "exhaustively compare extension counts against their bound")
     add_nk(p)
-    add_budget(p)
+    add_budget(p, audit_work)
     p.set_defaults(func=cmd_audit_prop1)
 
     p = add("audit-prop2", "audit the component-count bound, reading (a) or (b)")
     add_nk(p)
-    add_budget(p)
+    add_budget(p, audit_work + " (reading (a) only)", action=_Given)
     p.add_argument("--reading", choices=["a", "b"], default="a", help="which reading to audit")
-    p.add_argument("--n-min", type=int, default=4, help="first n for reading (b)")
-    p.add_argument("--n-max", type=int, default=22, help="last n for reading (b)")
+    p.add_argument("--n-min", type=int, default=4, action=_Given, help="first n for reading (b)")
+    p.add_argument("--n-max", type=int, default=22, action=_Given, help="last n for reading (b)")
     p.set_defaults(func=cmd_audit_prop2)
 
     p = add("audit-chain", "profile-ratio chain bound versus exact ratios")

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, permutations
+from itertools import combinations, groupby, permutations
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import BudgetError, InputError
@@ -183,7 +184,9 @@ def enumerate_family(params: PowerParams, budget: int = DEFAULT_ORDER_BUDGET) ->
     pid, links = _power_table(params.n, params.k)
     orders = tuple(canonical_orders(params.n))
     order_sets = tuple(_power_of(o, pid, links) for o in orders)
-    distinct = sorted(set(order_sets))
+    # timsort rides the runs of the enumeration order; equal powers end up
+    # adjacent, and groupby keeps the first of each
+    distinct = [power for power, _ in groupby(sorted(order_sets))]
     fam = PowerFamily(
         params=params,
         orders=orders,
@@ -270,14 +273,19 @@ def prop1_bound(n: int, k: int, t: int, c: int) -> float:
 
 
 def prop2_bound(k: int, t: int, c: int) -> float:
-    """Component-count bound (4ke)^t * C(2t, c); zero when c > 2t."""
+    """Component-count bound (4ke)^t * C(2t, c); zero when c > 2t, and inf
+    where the value passes the float range (at k = 1, from t = 189 for
+    c near t, and for every c from t = 295)."""
     if k < 1:
         raise InputError(f"power k must be >= 1, got {k}")
     if t < 1:
         raise InputError(f"subgraph size t must be >= 1, got {t}")
     if c < 1:
         raise InputError(f"component count c must be >= 1, got {c}")
-    return (4 * k * math.e) ** t * math.comb(2 * t, c)
+    try:
+        return (4 * k * math.e) ** t * math.comb(2 * t, c)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -506,6 +514,9 @@ def f_chain_bound(
 
 @dataclass(frozen=True)
 class AuditRow:
+    """One audited cell.  `bound` is inf where the bound passes the float
+    range; JSON writes it as null, and `pass` is then decided on logs."""
+
     n: int
     k: int
     t: int
@@ -521,9 +532,16 @@ class AuditRow:
             "t": self.t,
             "c": self.c,
             "exact": self.exact,
-            "bound": self.bound,
+            "bound": self.bound if math.isfinite(self.bound) else None,
             "pass": self.passed,
         }
+
+
+def _bound_row(n: int, k: int, t: int, c: int, exact: int, bound: float, log_bound: float) -> AuditRow:
+    """exact against a bound: an exact int-float comparison while the bound's
+    float is finite, and its log against log_bound once it is inf."""
+    passed = exact <= bound if bound < math.inf else math.log(exact) <= log_bound
+    return AuditRow(n, k, t, c, exact, bound, passed)
 
 
 @dataclass(frozen=True)
@@ -549,46 +567,158 @@ class AuditReport:
         }
 
 
+class _ExtensionCounter:
+    """count(S): the canonical orders of [n] whose k-th power contains S, for
+    a subgraph S of the identity power, by placement counting.
+
+    An order puts S in its power iff it puts every edge of S at cyclic
+    distance <= k.  Of the n! bijections [n] -> Z_n, those that do are the
+    P_S(n) placements of S's v support vertices times the (n-v)! ways to
+    place the rest, and each canonical order is 2n of them (rotations and
+    reflections), so count(S) = P_S(n) (n-v)! / (2n).
+
+    k = 1: S is a linear forest of c paths.  Gluing each path into one
+    oriented block leaves n - t blocks around a cycle, so
+    count(S) = (n-t-1)! 2^(c-1).
+    k >= 2: P_S(n) = n * (placements with S's first vertex at 0), counted by
+    backtracking and memoized per class of S under rotation and reflection
+    of Z_n, which are automorphisms of the identity power.  `nodes` counts
+    the placements the search tries; passing `budget` raises BudgetError.
+    """
+
+    def __init__(self, n: int, k: int, pid: list[list[int | None]], budget: int):
+        self.n, self.k, self.pid, self.budget = n, k, pid, budget
+        self.nodes = 0
+        self.memo: dict[tuple[int, ...], int] = {}
+        # near[p]: bitmask of the positions at cyclic distance 1..k from p
+        self.near = [
+            sum(1 << (p + d) % n for d in range(-k, k + 1) if d) for p in range(n)
+        ]
+
+    def __call__(self, sub: tuple[int, ...]) -> int:
+        n = self.n
+        stats, _ = components_of(sub)
+        if self.k == 1:
+            return math.factorial(n - stats.t - 1) << (stats.c - 1)
+        pairs = [pair_of(e) for e in sub]
+        # the least image puts a vertex of S at 0: were none there, turning
+        # one step back would lower every pair id
+        key = min(
+            tuple(sorted(self.pid[(s * (a - x)) % n][(s * (b - x)) % n] for a, b in pairs))
+            for x in {x for pair in pairs for x in pair}
+            for s in (1, -1)
+        )
+        pinned = self.memo.get(key)
+        if pinned is None:
+            pinned = self.memo[key] = self._pinned_placements(pairs)
+        return pinned * math.factorial(n - stats.v) // 2
+
+    def _pinned_placements(self, pairs: list[tuple[int, int]]) -> int:
+        """Placements of the edges' vertices with the least of them at 0."""
+        adj: dict[int, list[int]] = {}
+        for a, b in pairs:
+            adj.setdefault(a, []).append(b)
+            adj.setdefault(b, []).append(a)
+        # each component depth first, so every vertex but a component's first
+        # has a neighbour placed before it
+        order: list[int] = []
+        for root in sorted(adj):
+            stack = [root]
+            while stack:
+                x = stack.pop()
+                if x not in order:
+                    order.append(x)
+                    stack.extend(adj[x])
+        back = [[order.index(y) for y in adj[x] if order.index(y) < i] for i, x in enumerate(order)]
+        near, last = self.near, len(order) - 1
+        free_all = (1 << self.n) - 1
+        pos = [0] * len(order)
+
+        def place(i: int, used: int) -> int:
+            free = free_all & ~used
+            for j in back[i]:
+                free &= near[pos[j]]
+            self.nodes += free.bit_count()
+            if self.nodes > self.budget:
+                raise BudgetError(
+                    f"audit ({self.n}, {self.k}): placement search passed the work budget"
+                )
+            if i == last:
+                return free.bit_count()
+            total = 0
+            while free:
+                low = free & -free
+                pos[i] = low.bit_length() - 1
+                total += place(i + 1, used | low)
+                free ^= low
+            return total
+
+        return place(1, 1)
+
+
 def _audit(
     name: str,
     n: int,
     k: int,
     budget: int,
-    labeled: bool,
     rows_of: Callable[[tuple[int, ...], int], Iterable[AuditRow]],
 ) -> AuditReport:
-    """Shared skeleton of the subgraph audits.
+    """Shared skeleton of the subgraph audits, walking the subsets of one member.
 
-    Counts, for every subgraph T of a member with |T| <= floor(n/3k), the
-    members containing it (orders when labeled, else edge sets), and asks
-    rows_of(T, count) for T's rows.  The report keeps the worst (largest
-    exact) row per (t, c) cell and every failing row, in discovery order.
+    Every member is the image of the identity power M = C_n^k under a
+    relabelling of [n], which keeps a subgraph's extension count and its
+    rows.  So the subsets S of M with 1 <= |S| <= floor(n/3k) stand for every
+    subgraph of every member: rows_of(S, count(S)) gives S's rows, where
+    count(S), the canonical orders whose power contains S, comes from
+    placement counting (_ExtensionCounter), with no order enumerated.
+
+    `checked` is the number of distinct subgraphs of members, an orbit sum:
+    each such T lies in count(T) of the N = (n-1)!/2 order powers, and each
+    power holds the images of M's subsets, so checked = sum_S N / count(S),
+    summed as a Fraction and always an integer.  In the same way a failing
+    row stands for sum N / count(S) over the S that give it, and is listed
+    that many times, in the order rows first fail in the walk.  Per (t, c)
+    the report keeps the row with the largest exact, ties going to the
+    smallest bound.
+
+    `budget` caps the work: subsets walked plus placement-search nodes.
     """
     params = PowerParams(n, k)
-    family = enumerate_family(params, budget=budget)
-    counts: dict[tuple[int, ...], int] = {}
-    for edge_set in family.order_sets if labeled else family.edge_sets:
-        for t in range(1, params.t_max + 1):
-            for sub in combinations(edge_set, t):
-                counts[sub] = counts.get(sub, 0) + 1
+    pid, links = _power_table(n, k)
+    member = _power_of(range(n), pid, links)
+    sizes = range(1, params.t_max + 1)
+    walked = sum(math.comb(len(member), t) for t in sizes)
+    if walked > budget:
+        raise BudgetError(
+            f"audit ({n}, {k}) walks {walked} subgraphs of a member, over the work budget {budget}"
+        )
+    count = _ExtensionCounter(n, k, pid, budget - walked)
+    total = order_count(n)
     worst: dict[tuple[int, int], AuditRow] = {}
-    violations: list[AuditRow] = []
-    for sub, cnt in counts.items():
-        for row in rows_of(sub, cnt):
-            if not row.passed:
-                violations.append(row)
-            prev = worst.get((row.t, row.c))
-            if prev is None or row.exact > prev.exact:
-                worst[(row.t, row.c)] = row
+    failing: dict[AuditRow, Fraction] = {}
+    subsets_by_count: dict[int, int] = {}
+    for t in sizes:
+        for sub in combinations(member, t):
+            cnt = count(sub)
+            subsets_by_count[cnt] = subsets_by_count.get(cnt, 0) + 1
+            for row in rows_of(sub, cnt):
+                if not row.passed:
+                    failing[row] = failing.get(row, 0) + Fraction(total, cnt)
+                prev = worst.get((row.t, row.c))
+                if prev is None or (row.exact, -row.bound) > (prev.exact, -prev.bound):
+                    worst[(row.t, row.c)] = row
+    checked = sum(Fraction(total * m, cnt) for cnt, m in subsets_by_count.items())
+    assert all(x.denominator == 1 for x in (checked, *failing.values())), "orbit sums count whole subgraphs"
+    violations = tuple(row for row, times in failing.items() for _ in range(int(times)))
     rows = tuple(worst[key] for key in sorted(worst))
-    return AuditReport(name=name, rows=rows, violations=tuple(violations), checked=len(counts))
+    return AuditReport(name=name, rows=rows, violations=violations, checked=int(checked))
 
 
 def _prop2_rows(n: int, k: int, t: int, tally: dict[int, int]) -> Iterator[AuditRow]:
     """One row per component count c of a tally, against the component-count bound."""
     for c, cnt in sorted(tally.items()):
-        bound = prop2_bound(k, t, c)
-        yield AuditRow(n, k, t, c, cnt, bound, cnt <= bound)
+        log_bound = t * math.log(4 * k * math.e) + math.log(math.comb(2 * t, c))
+        yield _bound_row(n, k, t, c, cnt, prop2_bound(k, t, c), log_bound)
 
 
 def audit_prop1(n: int, k: int, budget: int = DEFAULT_ORDER_BUDGET) -> AuditReport:
@@ -601,10 +731,14 @@ def audit_prop1(n: int, k: int, budget: int = DEFAULT_ORDER_BUDGET) -> AuditRepo
 
     def rows_of(sub, cnt):
         stats, _ = components_of(sub)
-        bound = math.exp(prop1_bound(n, k, stats.t, stats.c))
-        return [AuditRow(n, k, stats.t, stats.c, cnt, bound, cnt <= bound)]
+        log_bound = prop1_bound(n, k, stats.t, stats.c)
+        try:
+            bound = math.exp(log_bound)
+        except OverflowError:
+            bound = math.inf
+        return [_bound_row(n, k, stats.t, stats.c, cnt, bound, log_bound)]
 
-    return _audit("prop1", n, k, budget, True, rows_of)
+    return _audit("prop1", n, k, budget, rows_of)
 
 
 def audit_structure(n: int, k: int, budget: int = DEFAULT_ORDER_BUDGET) -> AuditReport:
@@ -617,7 +751,7 @@ def audit_structure(n: int, k: int, budget: int = DEFAULT_ORDER_BUDGET) -> Audit
         bound = float(k * stats.v - (2 * k - 1) * stats.c)
         return [AuditRow(n, k, stats.t, stats.c, stats.t, bound, rep.ok)]
 
-    return _audit("structure", n, k, budget, False, rows_of)
+    return _audit("structure", n, k, budget, rows_of)
 
 
 def audit_prop2_reading_a(n: int, k: int, budget: int = DEFAULT_ORDER_BUDGET) -> AuditReport:
@@ -627,7 +761,7 @@ def audit_prop2_reading_a(n: int, k: int, budget: int = DEFAULT_ORDER_BUDGET) ->
     def rows_of(sub, _cnt):
         return _prop2_rows(n, k, len(sub), component_tally(sub, len(sub), "a"))
 
-    return _audit("prop2a", n, k, budget, False, rows_of)
+    return _audit("prop2a", n, k, budget, rows_of)
 
 
 def audit_prop2_reading_b(n_values: Iterable[int], k: int) -> AuditReport:

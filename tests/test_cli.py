@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, config merging, output bytes."""
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -87,6 +88,42 @@ def test_reading_b_rejects_n(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "--n-min" in err and "--n-max" in err
+
+
+def test_reading_b_rejects_budget(capsys):
+    code, out, err = run_cli(capsys, "audit-prop2", "--reading", "b", "--budget", "5")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "--budget" in err
+
+
+@pytest.mark.parametrize("flag", ["--n-min", "--n-max"])
+def test_reading_a_rejects_the_n_range(capsys, flag):
+    code, out, err = run_cli(capsys, "audit-prop2", "--n", "7", flag, "6")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and flag in err
+    code, out, _ = run_cli(capsys, "audit-prop2", "--n", "7", "--budget", "1000")
+    assert code == 0 and json.loads(out)["ok"] is True
+
+
+def test_audit_prop1_answers_past_the_enumeration_wall(capsys):
+    # 1,814,400 canonical orders: the audit walks one member instead
+    code, out, _ = run_cli(capsys, "audit-prop1", "--n", "11", "--k", "1")
+    assert code == 0
+    data = json.loads(out)
+    # checked counts the linear forests of K_11 with t <= 3 edges (each lies
+    # on a Hamilton cycle): c paths on v = t + c vertices in
+    # C(11, v) v! C(t-1, c-1) / (2^c c!) ways
+    forests = sum(
+        math.comb(11, t + c) * math.factorial(t + c) * math.comb(t - 1, c - 1)
+        // (2**c * math.factorial(c))
+        for t in range(1, 4)
+        for c in range(1, t + 1)
+    )
+    assert data["ok"] is True and data["checked"] == forests == 26290
+    code, _, err = run_cli(capsys, "audit-prop1", "--n", "11", "--k", "1", "--budget", "100")
+    assert code == 3 and "budget" in err
 
 
 def test_reading_b_names_n_min_below_2k_plus_2(capsys):

@@ -8,15 +8,22 @@ evaluation) or is a frozen constant cross-checked by two routes.
 import hashlib
 import json
 import math
+import random
+from collections import Counter
 from itertools import combinations, permutations
 
 import pytest
 
 from rainbowlab.errors import BudgetError, InputError
 from rainbowlab.hampow import (
+    AuditReport,
+    AuditRow,
     PowerFamily,
     PowerParams,
+    _ExtensionCounter,
     _member_tallies,
+    _power_table,
+    _prop2_rows,
     _structure_report,
     audit_prop1,
     audit_prop2_reading_a,
@@ -130,6 +137,13 @@ def test_family_counts():
     assert len(fam61.edge_sets) == 60
 
 
+@pytest.mark.parametrize("n,k", [(7, 1), (7, 2), (8, 3)])
+def test_edge_sets_are_the_sorted_distinct_powers(n, k):
+    fam = enumerate_family(PowerParams(n, k))
+    assert fam.edge_sets == tuple(sorted(set(fam.order_sets)))
+    assert {id(e) for e in fam.edge_sets} <= {id(o) for o in fam.order_sets}
+
+
 def test_n6_k2_sets_are_matching_complements():
     # K6 squared-cycle edge sets are exactly the 15 complements of perfect
     # matchings, an independent description of the collision structure
@@ -186,8 +200,20 @@ def test_each_order_power_is_computed_once(monkeypatch):
     fam = enumerate_family(PowerParams(7, 1))
     fam.hypergraph(LABELED_ORDERS)
     fam.order_masks
-    audit_prop1(7, 1)
     assert len(calls) == len(fam.orders) == 360
+
+
+def test_audits_never_enumerate_orders(monkeypatch):
+    import rainbowlab.hampow as hampow
+
+    def enumerating(*args, **kwargs):
+        raise AssertionError("an audit enumerated the canonical orders")
+
+    monkeypatch.setattr(hampow, "enumerate_family", enumerating)
+    monkeypatch.setattr(hampow, "canonical_orders", enumerating)
+    audit_prop1(7, 1)
+    assert audit_structure(8, 2).ok
+    assert audit_prop2_reading_a(9, 1).ok
 
 
 # ----------------------------------------------------------------------------
@@ -248,6 +274,38 @@ def test_prop2_bound_values():
     assert prop2_bound(1, 2, 1) == pytest.approx((4 * math.e) ** 2 * 4)
     assert prop2_bound(2, 1, 2) == pytest.approx(8 * math.e)  # C(2,2) = 1
     assert prop2_bound(1, 1, 3) == 0.0  # c > 2t
+
+
+def test_prop2_bound_past_the_float_range_is_inf():
+    # (4e)^300 is about 10^311: the power itself overflows, and at t = 200,
+    # c = 200 the product does
+    assert prop2_bound(1, 300, 1) == math.inf
+    assert prop2_bound(1, 200, 200) == math.inf
+    assert prop2_bound(1, 200, 1) == pytest.approx((4 * math.e) ** 200 * 400)
+
+
+def test_prop2_rows_past_the_float_range_decide_on_logs():
+    # the bound at t = 300, c = 1 is (4e)^300 * 600, about 10^313.7
+    log_bound = 300 * math.log(4 * math.e) + math.log(600)
+    under, over = 10**313, 10**314
+    assert math.log(under) < log_bound < math.log(over)
+    rows = [row for cnt in (under, over) for row in _prop2_rows(894, 1, 300, {1: cnt})]
+    assert [(r.c, r.bound, r.passed) for r in rows] == [(1, math.inf, True), (1, math.inf, False)]
+    data = [r.to_json() for r in rows]
+    assert [d["bound"] for d in data] == [None, None]
+    assert json.loads(json.dumps(data)) == data  # plain JSON, no Infinity token
+    # a finite bound keeps its float and the exact comparison
+    (row,) = _prop2_rows(22, 1, 1, {1: 22})
+    assert row.to_json()["bound"] == 8 * math.e and not row.passed
+
+
+def test_prop1_audit_past_the_float_range():
+    # the t = 1 bound (2k)^2 (n-2)! passes the float range at n = 171
+    rep = audit_prop1(171, 57)
+    (row,) = rep.rows
+    assert row.bound == math.inf and row.to_json()["bound"] is None
+    assert row.passed and rep.ok
+    assert rep.checked == math.comb(171, 2)  # every pair lies within distance 57 somewhere
 
 
 # ----------------------------------------------------------------------------
@@ -450,6 +508,115 @@ def test_audit_report_json_shape():
     data = rep.to_json()
     assert data["ok"] is True
     assert {"n", "k", "t", "c", "exact", "bound", "pass"} <= set(data["rows"][0])
+
+
+def test_audit_budget_caps_the_work():
+    # (8, 1) walks C(8,1) + C(8,2) = 36 subgraphs of a member
+    assert audit_prop1(8, 1, budget=36).ok
+    with pytest.raises(BudgetError, match="walks 36"):
+        audit_prop1(8, 1, budget=35)
+    # (12, 2) walks 24 + 276 = 300; the placement search needs more than 1 node
+    with pytest.raises(BudgetError, match="placement search"):
+        audit_prop1(12, 2, budget=301)
+
+
+# ----------------------------------------------------------------------------
+# the audits against enumeration
+
+def enumerating_audit(name, n, k, budget, rows_of):
+    """The audit loop as it was before placement counting, kept as the
+    oracle: count the members over every small subset of every member
+    (orders for prop1, distinct edge sets otherwise), keep the first row of
+    largest exact per (t, c) and every failing row, in discovery order."""
+    params = PowerParams(n, k)
+    family = enumerate_family(params, budget=budget)
+    counts = {}
+    for edge_set in family.order_sets if name == "prop1" else family.edge_sets:
+        for t in range(1, params.t_max + 1):
+            for sub in combinations(edge_set, t):
+                counts[sub] = counts.get(sub, 0) + 1
+    worst = {}
+    violations = []
+    for sub, cnt in counts.items():
+        for row in rows_of(sub, cnt):
+            if not row.passed:
+                violations.append(row)
+            prev = worst.get((row.t, row.c))
+            if prev is None or row.exact > prev.exact:
+                worst[(row.t, row.c)] = row
+    rows = tuple(worst[key] for key in sorted(worst))
+    return AuditReport(name=name, rows=rows, violations=tuple(violations), checked=len(counts))
+
+
+ORACLE_SIZES = [(n, 1) for n in range(4, 10)] + [(n, 2) for n in range(6, 10)]
+
+
+@pytest.mark.parametrize("n,k", ORACLE_SIZES)
+def test_audits_match_enumeration(monkeypatch, n, k):
+    import rainbowlab.hampow as hampow
+
+    for audit in (audit_prop1, audit_structure, audit_prop2_reading_a):
+        got = audit(n, k).to_json()
+        with monkeypatch.context() as m:
+            m.setattr(hampow, "_audit", enumerating_audit)
+            want = audit(n, k).to_json()
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True), (audit, n, k)
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for k in (1, 2) for n in range(6, 9)])
+def test_violations_keep_their_multiplicity(monkeypatch, n, k):
+    # without the (2k)^{2t} factor the bound fails: at k=1 on every
+    # subgraph with c >= 2 components, at k=2 already on single edges
+    import rainbowlab.hampow as hampow
+
+    bound = hampow.prop1_bound
+
+    def tightened(n, k, t, c):
+        return bound(n, k, t, c) - 2 * t * math.log(2 * k)
+
+    monkeypatch.setattr(hampow, "prop1_bound", tightened)
+    got = audit_prop1(n, k)
+    monkeypatch.setattr(hampow, "_audit", enumerating_audit)
+    want = audit_prop1(n, k)
+    assert want.violations
+    assert Counter(got.violations) == Counter(want.violations)
+    assert got.rows == want.rows and got.checked == want.checked
+
+
+def test_audit_row_rule_largest_exact_then_smallest_bound():
+    import rainbowlab.hampow as hampow
+
+    def rows_of(sub, _cnt):
+        return [AuditRow(7, 1, 1, 1, len(sub), float(sum(sub)), True)]
+
+    rep = hampow._audit("rule", 7, 1, 10**6, rows_of)
+    member = power_edge_set(tuple(range(7)), 1)
+    assert rep.rows == (AuditRow(7, 1, 1, 1, 2, float(min(map(sum, combinations(member, 2)))), True),)
+
+
+def _random_member_subsets(n, k, sizes, draws, seed):
+    member = power_edge_set(tuple(range(n)), k)
+    rng = random.Random(seed)
+    for _ in range(draws):
+        yield tuple(sorted(rng.sample(member, rng.choice(sizes))))
+
+
+@pytest.mark.parametrize("n,k", [(8, 1), (9, 1), (7, 2), (8, 2), (9, 2)])
+def test_extension_counts_match_enumeration(n, k):
+    fam = enumerate_family(PowerParams(n, k))
+    count = _ExtensionCounter(n, k, _power_table(n, k)[0], budget=10**7)
+    sizes = range(1, n - 1) if k == 1 else range(1, 5)
+    for sub in _random_member_subsets(n, k, sizes, 60, seed=n * 10 + k):
+        assert count(sub) == count_extensions(fam, sub).orders, sub
+
+
+def test_k1_closed_form_matches_placement_search():
+    for n in range(4, 13):
+        count = _ExtensionCounter(n, 1, _power_table(n, 1)[0], budget=10**8)
+        for sub in _random_member_subsets(n, 1, range(1, n), 40, seed=n):
+            stats, _ = components_of(sub)
+            searched = count._pinned_placements([pair_of(e) for e in sub])
+            assert count(sub) == searched * math.factorial(n - stats.v) // 2, (n, sub)
 
 
 # ----------------------------------------------------------------------------
