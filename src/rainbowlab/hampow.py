@@ -17,10 +17,11 @@ compare each against exhaustive exact counts.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, groupby, permutations
+from itertools import chain, combinations, groupby, permutations
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import BudgetError, InputError
@@ -149,8 +150,13 @@ class PowerFamily:
         return tuple(_mask(e) for e in self.edge_sets)
 
     def hypergraph(self, semantics: str = DISTINCT_SETS) -> Hypergraph:
+        """The family as a hypergraph, marked transitive: relabelling [n]
+        carries any order, hence any power, to any other, under both
+        semantics."""
         edges = self.edge_sets if semantics == DISTINCT_SETS else self.order_sets
-        return Hypergraph(self.params.ground(), edges, self.params.r, semantics)
+        hg = Hypergraph(self.params.ground(), edges, self.params.r, semantics)
+        object.__setattr__(hg, "transitive", True)
+        return hg
 
 
 def _mask(ids: Iterable[int]) -> int:
@@ -160,30 +166,76 @@ def _mask(ids: Iterable[int]) -> int:
     return m
 
 
+# enumeration packs a*n + b into one byte, so n*n <= 256
+_MAX_ENUMERATION_N = 16
+
+# families, and the orders every k of one n shares, are memoized up to
+# this many orders
+_CACHE_ORDERS = 400_000
 _family_cache: dict[tuple[int, int], PowerFamily] = {}
+_orders_cache: dict[int, tuple[tuple[tuple[int, ...], ...], bytes]] = {}
+
+
+def _batch_powers(buf: bytes, n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """The sorted power of every order of [n], from one pass over their bytes.
+
+    buf holds the orders back to back, n bytes each.  For a link offset j,
+    tail holds each order rotated by j within its n bytes, so where buf holds
+    a, tail holds the b that the link (i, i+j) joins it to.  Scaling buf's
+    bytes to a*n and adding tail as one big integer gives a*n + b in every
+    byte (no byte carries, as a*n + b < n*n <= 256), and a translate table
+    maps that to pair_id(a, b).  The k columns interleave into kn bytes per
+    order, which unpack to the powers.
+
+    The kn ids are distinct for every order once they are for one: each
+    order relabels the identity power by a bijection of [n].
+    """
+    scale = bytes(x * n if x < n else 0 for x in range(256))
+    ids = bytes(pair_id(*divmod(x, n)) if x < n * n and x // n != x % n else 0 for x in range(256))
+    head = int.from_bytes(buf.translate(scale), "big")
+    kn = k * n
+    out = bytearray(len(buf) * k)
+    for j in range(1, k + 1):
+        tail = bytearray(len(buf))
+        for i in range(n):
+            tail[i::n] = buf[(i + j) % n::n]
+        joined = (head + int.from_bytes(tail, "big")).to_bytes(len(buf), "big")
+        out[j - 1::k] = joined.translate(ids)
+    powers = tuple(map(tuple, map(sorted, struct.iter_unpack(f"{kn}B", out))))
+    assert len(set(powers[0])) == kn, "power must have exactly kn edges for n >= 2k+2"
+    return powers
 
 
 def enumerate_family(params: PowerParams, budget: int = DEFAULT_ORDER_BUDGET) -> PowerFamily:
     """Enumerate every canonical order and its power, deduplicating edge sets.
 
-    Results for small (n, k) are memoized; the budget guards the (n-1)!/2
-    blowup before any work happens.
+    Results for small (n, k) are memoized, and every k shares the orders of
+    one n.  The budget guards the (n-1)!/2 blowup, and n <= 16 the byte
+    kernel, before any work happens.
     """
-    total = order_count(params.n)
+    n, k = params.n, params.k
+    if n > _MAX_ENUMERATION_N:
+        raise BudgetError(
+            f"family ({n}, {k}): enumeration handles n <= {_MAX_ENUMERATION_N} only "
+            f"(a*n + b must fit in a byte); n = {_MAX_ENUMERATION_N} already has "
+            f"{order_count(_MAX_ENUMERATION_N)} canonical orders"
+        )
+    total = order_count(n)
     if total > budget:
         raise BudgetError(
-            f"family ({params.n}, {params.k}) has {total} canonical orders, "
+            f"family ({n}, {k}) has {total} canonical orders, "
             f"over the enumeration budget {budget}"
         )
-    key = (params.n, params.k)
-    cached = _family_cache.get(key)
+    cached = _family_cache.get((n, k))
     if cached is not None:
         return cached
 
-    # canonical orders are valid by construction, so skip power_edge_set's checks
-    pid, links = _power_table(params.n, params.k)
-    orders = tuple(canonical_orders(params.n))
-    order_sets = tuple(_power_of(o, pid, links) for o in orders)
+    shared = _orders_cache.get(n)
+    if shared is None:
+        orders = tuple(canonical_orders(n))
+        shared = orders, bytes(chain.from_iterable(orders))
+    orders, buf = shared
+    order_sets = _batch_powers(buf, n, k)
     # timsort rides the runs of the enumeration order; equal powers end up
     # adjacent, and groupby keeps the first of each
     distinct = [power for power, _ in groupby(sorted(order_sets))]
@@ -194,8 +246,9 @@ def enumerate_family(params: PowerParams, budget: int = DEFAULT_ORDER_BUDGET) ->
         edge_sets=tuple(distinct),
         collisions=total - len(distinct),
     )
-    if total <= 400_000:
-        _family_cache[key] = fam
+    if total <= _CACHE_ORDERS:
+        _orders_cache[n] = shared
+        _family_cache[(n, k)] = fam
     return fam
 
 
@@ -567,6 +620,19 @@ class AuditReport:
         }
 
 
+def _dihedral_key(pairs: Sequence[tuple[int, int]], n: int, pid: list[list[int | None]]) -> tuple[int, ...]:
+    """The least sorted pair-id tuple among the images of the edges under
+    rotation and reflection of Z_n, which are automorphisms of the identity
+    power: equal keys mean isomorphic subgraphs."""
+    # the least image puts a vertex of S at 0: were none there, turning one
+    # step back would lower every pair id
+    return min(
+        tuple(sorted(pid[(s * (a - x)) % n][(s * (b - x)) % n] for a, b in pairs))
+        for x in {x for pair in pairs for x in pair}
+        for s in (1, -1)
+    )
+
+
 class _ExtensionCounter:
     """count(S): the canonical orders of [n] whose k-th power contains S, for
     a subgraph S of the identity power, by placement counting.
@@ -601,13 +667,7 @@ class _ExtensionCounter:
         if self.k == 1:
             return math.factorial(n - stats.t - 1) << (stats.c - 1)
         pairs = [pair_of(e) for e in sub]
-        # the least image puts a vertex of S at 0: were none there, turning
-        # one step back would lower every pair id
-        key = min(
-            tuple(sorted(self.pid[(s * (a - x)) % n][(s * (b - x)) % n] for a, b in pairs))
-            for x in {x for pair in pairs for x in pair}
-            for s in (1, -1)
-        )
+        key = _dihedral_key(pairs, n, self.pid)
         pinned = self.memo.get(key)
         if pinned is None:
             pinned = self.memo[key] = self._pinned_placements(pairs)
@@ -754,12 +814,34 @@ def audit_structure(n: int, k: int, budget: int = DEFAULT_ORDER_BUDGET) -> Audit
     return _audit("structure", n, k, budget, rows_of)
 
 
+def _reading_a_tally(n: int, k: int) -> Callable[[tuple[int, ...]], dict[int, int]]:
+    """component_tally(sub, |sub|, "a") for subgraphs sub of the identity
+    power, memoized by a key that its automorphisms keep: at k = 1 the
+    sorted (edges, vertices) of sub's components, as a linear forest's tally
+    depends only on its path lengths; at k >= 2 the dihedral key."""
+    pid, _ = _power_table(n, k)
+    memo: dict[tuple, dict[int, int]] = {}
+
+    def tally(sub: tuple[int, ...]) -> dict[int, int]:
+        if k == 1:
+            key = tuple(components_of(sub)[1])
+        else:
+            key = _dihedral_key([pair_of(e) for e in sub], n, pid)
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = component_tally(sub, len(sub), "a")
+        return got
+
+    return tally
+
+
 def audit_prop2_reading_a(n: int, k: int, budget: int = DEFAULT_ORDER_BUDGET) -> AuditReport:
     """Reading (a): for each subgraph T of a member, every tally of T's own
     edge-subsets by component count must sit under the bound at t = |T|."""
+    tally = _reading_a_tally(n, k)
 
     def rows_of(sub, _cnt):
-        return _prop2_rows(n, k, len(sub), component_tally(sub, len(sub), "a"))
+        return _prop2_rows(n, k, len(sub), tally(sub))
 
     return _audit("prop2a", n, k, budget, rows_of)
 

@@ -116,12 +116,19 @@ def _normalize_edge(edge: Iterable[int], r: int, ground: GroundSet) -> tuple[int
 
 @dataclass(frozen=True)
 class Hypergraph:
-    """An r-uniform family over a ground set, under one of the two semantics."""
+    """An r-uniform family over a ground set, under one of the two semantics.
+
+    `transitive` marks a family whose automorphisms act transitively on its
+    members, so every member has the same intersection profile and the pair
+    scans need one row.  Only PowerFamily.hypergraph sets it; edges read
+    from text or passed to replace_edges are never marked.
+    """
 
     ground: GroundSet
     edges: tuple[tuple[int, ...], ...]
     r: int
     semantics: str = DISTINCT_SETS
+    transitive: bool = field(default=False, init=False, compare=False)
 
     def __post_init__(self):
         if self.r < 1:
@@ -269,13 +276,22 @@ def intersection_profile(hg: Hypergraph, base_index: int) -> IntersectionProfile
     return IntersectionProfile(base_index=base_index, counts=tuple(counts))
 
 
-def max_profile(hg: Hypergraph, pair_budget: int = 10_000_000) -> tuple[int, ...]:
-    """fmax[t] = max over base edges of the t-entry of the intersection profile."""
+def _check_pair_budget(hg: Hypergraph, pair_budget: int, what: str) -> None:
+    """A transitive family scans one row of |H| pairs, any other all |H|^2."""
     big_m = len(hg.edges)
-    if big_m * big_m > pair_budget:
-        raise BudgetError(
-            f"profile scan needs {big_m * big_m} pair intersections, budget {pair_budget}"
-        )
+    pairs = big_m if hg.transitive else big_m * big_m
+    if pairs > pair_budget:
+        raise BudgetError(f"{what} needs {pairs} pair intersections, budget {pair_budget}")
+
+
+def max_profile(hg: Hypergraph, pair_budget: int = 10_000_000) -> tuple[int, ...]:
+    """fmax[t] = max over base edges of the t-entry of the intersection profile.
+
+    Every member of a transitive family has the profile of member 0."""
+    _check_pair_budget(hg, pair_budget, "profile scan")
+    if hg.transitive:
+        return intersection_profile(hg, 0).counts
+    big_m = len(hg.edges)
     fmax = [0] * (hg.r + 1)
     for base_index in range(big_m):
         for t, c in enumerate(intersection_profile(hg, base_index).counts):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetError, InputError
-from .hypergraph import Hypergraph, alpha_cut
+from .hypergraph import Hypergraph, _check_pair_budget, alpha_cut, intersection_profile
 from .seeding import make_rng
 
 __all__ = [
@@ -134,12 +134,14 @@ class RainbowStats:
 
 
 def _pair_intersection_tally(hg: Hypergraph, pair_budget: int) -> list[int]:
-    """n_t = number of ordered member pairs meeting in exactly t elements."""
+    """n_t = number of ordered member pairs meeting in exactly t elements.
+
+    Every member of a transitive family has the profile f of member 0, so
+    there n_t = |H| f_t."""
+    _check_pair_budget(hg, pair_budget, "second moment")
     big_m = len(hg.edges)
-    if big_m * big_m > pair_budget:
-        raise BudgetError(
-            f"second moment needs {big_m * big_m} pair intersections, budget {pair_budget}"
-        )
+    if hg.transitive:
+        return [big_m * f_t for f_t in intersection_profile(hg, 0).counts]
     n_t = [0] * (hg.r + 1)
     masks = hg.masks
     for i in range(big_m):

@@ -212,6 +212,20 @@ def test_exact_moments_need_no_seed(capsys):
     assert "seed" not in json.loads(out)
 
 
+def test_power_family_moments_and_profile_answer_at_n9(capsys):
+    # one base row of 20,160 pairs, where every pair (406,425,600) was over
+    # the default 4M pair budget
+    code, out, _ = run_cli(capsys, "moments", "--n", "9", "--k", "1", "--q", "12", "--trials", "0")
+    assert code == 0
+    data = json.loads(out)
+    assert data["M"] == 20160
+    assert data["E_Z_exact"] == "67375/216"  # 20160 (12)_9 / 12^9
+    code, out, _ = run_cli(capsys, "profile", "--n", "9", "--k", "1")
+    assert code == 0
+    fmax = json.loads(out)["fmax"]
+    assert sum(fmax) == 20160 and fmax[9] == 1
+
+
 def test_explicit_seed_is_not_announced(capsys):
     _, out, err = run_cli(capsys, "moments", "--n", "5", "--k", "1",
                           "--q", "6", "--trials", "50", "--seed", "4")

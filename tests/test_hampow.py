@@ -24,6 +24,7 @@ from rainbowlab.hampow import (
     _member_tallies,
     _power_table,
     _prop2_rows,
+    _reading_a_tally,
     _structure_report,
     audit_prop1,
     audit_prop2_reading_a,
@@ -186,21 +187,56 @@ def test_hypergraph_rejects_unknown_semantics():
 
 
 def test_each_order_power_is_computed_once(monkeypatch):
+    # one batch-kernel call computes every order's power of a family; the
+    # per-order _power_of is left to power_edge_set and the audits
     import rainbowlab.hampow as hampow
 
     calls = []
-    power_of = hampow._power_of
+    batch_powers = hampow._batch_powers
 
-    def counting(order, pid, links):
-        calls.append(order)
-        return power_of(order, pid, links)
+    def counting(buf, n, k):
+        calls.append((n, k))
+        return batch_powers(buf, n, k)
+
+    def per_order(*args):
+        raise AssertionError("enumeration computed a power order by order")
 
     monkeypatch.setattr(hampow, "_family_cache", {})
-    monkeypatch.setattr(hampow, "_power_of", counting)
+    monkeypatch.setattr(hampow, "_batch_powers", counting)
+    monkeypatch.setattr(hampow, "_power_of", per_order)
     fam = enumerate_family(PowerParams(7, 1))
     fam.hypergraph(LABELED_ORDERS)
     fam.order_masks
-    assert len(calls) == len(fam.orders) == 360
+    assert enumerate_family(PowerParams(7, 1)) is fam
+    assert calls == [(7, 1)]
+    assert len(fam.orders) == 360
+
+
+BATCH_SIZES = (
+    [(n, 1) for n in range(4, 10)] + [(n, 2) for n in range(6, 10)] + [(8, 3), (9, 3)]
+)
+
+
+@pytest.mark.parametrize("n,k", BATCH_SIZES)
+def test_batch_kernel_matches_power_edge_set(n, k):
+    fam = enumerate_family(PowerParams(n, k))
+    assert fam.orders == tuple(canonical_orders(n))
+    assert fam.order_sets == tuple(power_edge_set(o, k) for o in fam.orders)
+
+
+def test_orders_are_shared_across_k():
+    assert enumerate_family(PowerParams(7, 1)).orders is enumerate_family(PowerParams(7, 2)).orders
+
+
+def test_enumeration_stops_past_16_vertices_whatever_the_budget(monkeypatch):
+    import rainbowlab.hampow as hampow
+
+    def enumerating(*args, **kwargs):
+        raise AssertionError("enumeration started past its byte range")
+
+    monkeypatch.setattr(hampow, "canonical_orders", enumerating)
+    with pytest.raises(BudgetError, match="n <= 16"):
+        enumerate_family(PowerParams(17, 1), budget=10**20)
 
 
 def test_audits_never_enumerate_orders(monkeypatch):
@@ -355,6 +391,25 @@ def test_component_tally_reading_a_matches_brute_force():
             c = components_of(sub)[0].c
             want[c] = want.get(c, 0) + 1
     assert tally == want
+
+
+@pytest.mark.parametrize("n,k", [(12, 1), (9, 2)])
+def test_reading_a_memo_matches_direct_tallies(monkeypatch, n, k):
+    import rainbowlab.hampow as hampow
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return component_tally(*args)
+
+    monkeypatch.setattr(hampow, "component_tally", counting)
+    tally = _reading_a_tally(n, k)
+    member = power_edge_set(tuple(range(n)), k)
+    subsets = [sub for t in range(1, 5) for sub in combinations(member, t)]
+    for sub in subsets:
+        assert tally(sub) == component_tally(sub, len(sub), "a"), sub
+    assert len(calls) < len(subsets) // 10
 
 
 def test_component_tally_reading_a_requires_exact_size():

@@ -1,5 +1,6 @@
 """The package surface: each module's __all__, re-exported once by the package."""
 
+import ast
 import json
 import os
 import subprocess
@@ -39,3 +40,41 @@ def test_star_import_binds_exactly_the_public_names():
     bound = json.loads(proc.stdout)
     assert bound == sorted(rainbowlab.__all__)
     assert "random" not in bound
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports but never reads, re-exports or annotates with."""
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.name != "*":
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        # quoted annotations and __all__ entries name things as strings
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                inner = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            used |= {n.id for n in ast.walk(inner) if isinstance(n, ast.Name)}
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_package_modules_use_every_name_they_import():
+    package = Path(rainbowlab.__file__).parent
+    unused = {
+        path.name: found
+        for path in sorted(package.glob("*.py"))
+        if (found := _unused_imports(path.read_text()))
+    }
+    assert unused == {}
+
+
+def test_unused_import_scan_sees_a_dead_import():
+    source = "import math\nfrom typing import Iterator, Sequence\nx: 'Sequence[int]' = []\n"
+    assert _unused_imports(source) == ["line 1: math", "line 2: Iterator"]

@@ -5,17 +5,23 @@ computes the moments by direct counting; the larger cycle-family values are
 frozen constants recomputed here per ordered pair with local arithmetic.
 """
 
+import json
+from dataclasses import asdict
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from rainbowlab.errors import BudgetError, InputError
+from rainbowlab.hampow import PowerParams, enumerate_family
 from rainbowlab.hypergraph import (
     DISTINCT_SETS,
     LABELED_ORDERS,
     GroundSet,
     Hypergraph,
+    format_hypergraph_text,
+    read_hypergraph_text,
+    required_k0,
 )
 from rainbowlab.rainbow import (
     Coloring,
@@ -207,6 +213,45 @@ def test_fsum_ratio_bound_recomputed_directly():
     for t in range(2, r):
         want += 2**r / kappa**t * q**t / ff(q, t)
     assert fsum_ratio_bound(m, q, r, kappa, k0, alpha) == pytest.approx(want)
+
+
+# ----------------------------------------------------------------------------
+# power families: one base row stands for every pair
+
+# n = 2k+2 (6,2) and (8,3) are the collision-heavy sizes
+TRANSITIVE_SIZES = [(n, 1) for n in range(4, 9)] + [(6, 2), (7, 2), (8, 2), (8, 3)]
+
+
+@pytest.mark.parametrize("semantics", [DISTINCT_SETS, LABELED_ORDERS])
+@pytest.mark.parametrize("n,k", TRANSITIVE_SIZES)
+def test_one_row_matches_the_pair_scan(n, k, semantics):
+    marked = enumerate_family(PowerParams(n, k)).hypergraph(semantics)
+    plain = marked.replace_edges(marked.edges)
+    assert marked.transitive and not plain.transitive
+    budget = len(plain) ** 2
+    q = k * n + 2
+    got = exact_second_moment(marked, q, pair_budget=budget).to_json()
+    assert got == exact_second_moment(plain, q, pair_budget=budget).to_json()
+    kappa = n ** (1 / k)
+    got = asdict(required_k0(marked, kappa, 1 / 3, pair_budget=budget))
+    want = asdict(required_k0(plain, kappa, 1 / 3, pair_budget=budget))
+    assert json.dumps(got) == json.dumps(want)
+
+
+def test_one_row_budget_counts_the_pairs_intersected():
+    marked = enumerate_family(PowerParams(6, 1)).hypergraph(DISTINCT_SETS)
+    assert exact_second_moment(marked, 8, pair_budget=60).e_z2
+    with pytest.raises(BudgetError, match="needs 60 pair"):
+        exact_second_moment(marked, 8, pair_budget=59)
+    with pytest.raises(BudgetError, match="needs 3600 pair"):
+        exact_second_moment(marked.replace_edges(marked.edges), 8, pair_budget=3599)
+
+
+def test_subfamilies_and_text_input_are_not_marked():
+    marked = enumerate_family(PowerParams(6, 2)).hypergraph(LABELED_ORDERS)
+    coloring = random_coloring(marked.ground.size, 13, make_rng(5))
+    assert not rainbow_subfamily(marked, coloring).transitive
+    assert not read_hypergraph_text(format_hypergraph_text(marked), LABELED_ORDERS).transitive
 
 
 # ----------------------------------------------------------------------------
