@@ -28,10 +28,11 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .errors import InputError
-from .hypergraph import DISTINCT_SETS, Hypergraph
+from .hypergraph import DISTINCT_SETS, Hypergraph, _mask, _mask_of
 from .hampow import PowerParams, enumerate_family, DEFAULT_ORDER_BUDGET
 from .rainbow import Coloring, falling, expected_rainbow_count, random_coloring, rainbow_subfamily
 from .seeding import make_rng
+from .threshold import _exposure_size
 
 UPFRONT = "upfront"
 STAGED = "staged"
@@ -83,14 +84,13 @@ class TwoRoundConfig:
     def __post_init__(self):
         if self.q < 1:
             raise InputError(f"palette size q must be >= 1, got {self.q}")
-        if self.C <= 0:
-            raise InputError(f"exposure multiplier C must be positive, got {self.C}")
-        if self.epsilon1 <= 0:
-            raise InputError(f"epsilon1 must be positive, got {self.epsilon1}")
+        if not 0 < self.epsilon1 < math.inf:
+            raise InputError(f"epsilon1 must be positive and finite, got {self.epsilon1}")
         if self.coloring_mode not in (UPFRONT, STAGED):
             raise InputError(f"unknown coloring mode {self.coloring_mode!r}")
         if self.omega is not None and self.omega < 1:
             raise InputError(f"omega must be >= 1, got {self.omega}")
+        # p1 computes m, which checks C
         if self.epsilon1 * self.p1 > 1:
             raise InputError(
                 f"epsilon1 * p1 = {self.epsilon1 * self.p1:.6g} exceeds 1; "
@@ -111,8 +111,7 @@ class TwoRoundConfig:
 
     @property
     def m(self) -> int:
-        big_n = self.n_elements
-        return min(big_n, math.ceil(self.C * big_n / self.kappa_nominal))
+        return _exposure_size(self.C, self.params.n, self.params.k)
 
     @property
     def p1(self) -> float:
@@ -172,22 +171,18 @@ def min_fragment(
         raise InputError(f"member index {astar_index} out of range")
     if omega < 1:
         raise InputError(f"omega must be >= 1, got {omega}")
-    w0_mask = 0
-    for x in w0:
-        hstar.ground.check_element(x)
-        w0_mask |= 1 << x
+    w0_mask = _mask_of(w0, hstar.ground)
     masks = hstar.masks
     allowed = masks[astar_index] | w0_mask
 
     best_ell = -1
     best_idx = -1
-    best_mask = 0
     for idx, b in enumerate(masks):
         if b & ~allowed:
             continue
         ell = (b & ~w0_mask).bit_count()
         if best_idx < 0 or ell < best_ell:
-            best_ell, best_idx, best_mask = ell, idx, b & ~w0_mask
+            best_ell, best_idx = ell, idx
     assert best_idx >= 0, "A* itself is always a candidate"
 
     t_star = tuple(x for x in hstar.edges[best_idx] if not (w0_mask >> x) & 1)
@@ -262,14 +257,9 @@ def run_third_stage(
     eps_p = config.epsilon1 * p1
     q, r = config.q, config.r
 
-    w0_mask = 0
-    for x in w0:
-        w0_mask |= 1 << x
-
+    w0_mask = _mask(w0)
     w1 = [x for x in range(config.n_elements) if not (w0_mask >> x) & 1 and rng.random() < p1]
-    w1_mask = 0
-    for x in w1:
-        w1_mask |= 1 << x
+    w1_mask = _mask(w1)
 
     fresh: dict[int, int] = {}
     if config.coloring_mode == STAGED:
@@ -284,10 +274,7 @@ def run_third_stage(
     accepted = 0
     cols = coloring.colors
     for rec in pool:
-        t_mask = 0
-        for x in rec.t_star:
-            t_mask |= 1 << x
-        if t_mask & ~w1_mask:
+        if _mask(rec.t_star) & ~w1_mask:
             continue
         if config.coloring_mode == STAGED:
             source = hstar.edges[rec.source_index]

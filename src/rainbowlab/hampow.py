@@ -29,6 +29,8 @@ from .hypergraph import (
     DISTINCT_SETS,
     GroundSet,
     Hypergraph,
+    _mask,
+    _mask_of,
     pair_id,
     pair_of,
 )
@@ -157,13 +159,6 @@ class PowerFamily:
         hg = Hypergraph(self.params.ground(), edges, self.params.r, semantics)
         object.__setattr__(hg, "transitive", True)
         return hg
-
-
-def _mask(ids: Iterable[int]) -> int:
-    m = 0
-    for x in ids:
-        m |= 1 << x
-    return m
 
 
 # enumeration packs a*n + b into one byte, so n*n <= 256
@@ -354,11 +349,7 @@ class ExtensionCount:
 
 
 def count_extensions(family: PowerFamily, edge_ids: Iterable[int]) -> ExtensionCount:
-    tmask = 0
-    ground = family.params.ground()
-    for x in edge_ids:
-        ground.check_element(x)
-        tmask |= 1 << x
+    tmask = _mask_of(edge_ids, family.params.ground())
     orders = sum(1 for m in family.order_masks if m & tmask == tmask)
     distinct = sum(1 for m in family.set_masks if m & tmask == tmask)
     return ExtensionCount(orders=orders, distinct_sets=distinct)
@@ -647,15 +638,13 @@ class _ExtensionCounter:
     oriented block leaves n - t blocks around a cycle, so
     count(S) = (n-t-1)! 2^(c-1).
     k >= 2: P_S(n) = n * (placements with S's first vertex at 0), counted by
-    backtracking and memoized per class of S under rotation and reflection
-    of Z_n, which are automorphisms of the identity power.  `nodes` counts
-    the placements the search tries; passing `budget` raises BudgetError.
+    backtracking.  `nodes` counts the placements the search tries; passing
+    `budget` raises BudgetError.
     """
 
-    def __init__(self, n: int, k: int, pid: list[list[int | None]], budget: int):
-        self.n, self.k, self.pid, self.budget = n, k, pid, budget
+    def __init__(self, n: int, k: int, budget: int):
+        self.n, self.k, self.budget = n, k, budget
         self.nodes = 0
-        self.memo: dict[tuple[int, ...], int] = {}
         # near[p]: bitmask of the positions at cyclic distance 1..k from p
         self.near = [
             sum(1 << (p + d) % n for d in range(-k, k + 1) if d) for p in range(n)
@@ -666,11 +655,7 @@ class _ExtensionCounter:
         stats, _ = components_of(sub)
         if self.k == 1:
             return math.factorial(n - stats.t - 1) << (stats.c - 1)
-        pairs = [pair_of(e) for e in sub]
-        key = _dihedral_key(pairs, n, self.pid)
-        pinned = self.memo.get(key)
-        if pinned is None:
-            pinned = self.memo[key] = self._pinned_placements(pairs)
+        pinned = self._pinned_placements([pair_of(e) for e in sub])
         return pinned * math.factorial(n - stats.v) // 2
 
     def _pinned_placements(self, pairs: list[tuple[int, int]]) -> int:
@@ -732,14 +717,21 @@ def _audit(
     count(S), the canonical orders whose power contains S, comes from
     placement counting (_ExtensionCounter), with no order enumerated.
 
+    The walk first groups the subsets into classes by a key that the
+    automorphisms of M keep: at k = 1 the sorted (edges, vertices) of S's
+    components, which are paths, so the key is S's isomorphism class; at
+    k >= 2 the dihedral key, S's class under rotation and reflection of Z_n.
+    count(S) and rows_of(S, ...) then run once per class, on its first
+    subset in walk order, so rows_of may depend on S only through its class.
+
     `checked` is the number of distinct subgraphs of members, an orbit sum:
     each such T lies in count(T) of the N = (n-1)!/2 order powers, and each
     power holds the images of M's subsets, so checked = sum_S N / count(S),
-    summed as a Fraction and always an integer.  In the same way a failing
-    row stands for sum N / count(S) over the S that give it, and is listed
-    that many times, in the order rows first fail in the walk.  Per (t, c)
-    the report keeps the row with the largest exact, ties going to the
-    smallest bound.
+    one term N * size / count per class, summed as a Fraction and always an
+    integer.  In the same way a failing row stands for sum N / count(S) over
+    the S that give it, and is listed that many times, in the order rows
+    first fail in the walk.  Per (t, c) the report keeps the row with the
+    largest exact, ties going to the smallest bound.
 
     `budget` caps the work: subsets walked plus placement-search nodes.
     """
@@ -752,22 +744,34 @@ def _audit(
         raise BudgetError(
             f"audit ({n}, {k}) walks {walked} subgraphs of a member, over the work budget {budget}"
         )
-    count = _ExtensionCounter(n, k, pid, budget - walked)
+    # class key -> [first subset in walk order, subsets in the class]
+    classes: dict[tuple, list] = {}
+    for t in sizes:
+        for sub in combinations(member, t):
+            if k == 1:
+                key = tuple(components_of(sub)[1])
+            else:
+                key = _dihedral_key([pair_of(e) for e in sub], n, pid)
+            cls = classes.get(key)
+            if cls is None:
+                classes[key] = [sub, 1]
+            else:
+                cls[1] += 1
+    count = _ExtensionCounter(n, k, budget - walked)
     total = order_count(n)
     worst: dict[tuple[int, int], AuditRow] = {}
     failing: dict[AuditRow, Fraction] = {}
-    subsets_by_count: dict[int, int] = {}
-    for t in sizes:
-        for sub in combinations(member, t):
-            cnt = count(sub)
-            subsets_by_count[cnt] = subsets_by_count.get(cnt, 0) + 1
-            for row in rows_of(sub, cnt):
-                if not row.passed:
-                    failing[row] = failing.get(row, 0) + Fraction(total, cnt)
-                prev = worst.get((row.t, row.c))
-                if prev is None or (row.exact, -row.bound) > (prev.exact, -prev.bound):
-                    worst[(row.t, row.c)] = row
-    checked = sum(Fraction(total * m, cnt) for cnt, m in subsets_by_count.items())
+    checked = Fraction(0)
+    for sub, size in classes.values():
+        cnt = count(sub)
+        times = Fraction(total * size, cnt)
+        checked += times
+        for row in rows_of(sub, cnt):
+            if not row.passed:
+                failing[row] = failing.get(row, 0) + times
+            prev = worst.get((row.t, row.c))
+            if prev is None or (row.exact, -row.bound) > (prev.exact, -prev.bound):
+                worst[(row.t, row.c)] = row
     assert all(x.denominator == 1 for x in (checked, *failing.values())), "orbit sums count whole subgraphs"
     violations = tuple(row for row, times in failing.items() for _ in range(int(times)))
     rows = tuple(worst[key] for key in sorted(worst))
@@ -814,34 +818,12 @@ def audit_structure(n: int, k: int, budget: int = DEFAULT_ORDER_BUDGET) -> Audit
     return _audit("structure", n, k, budget, rows_of)
 
 
-def _reading_a_tally(n: int, k: int) -> Callable[[tuple[int, ...]], dict[int, int]]:
-    """component_tally(sub, |sub|, "a") for subgraphs sub of the identity
-    power, memoized by a key that its automorphisms keep: at k = 1 the
-    sorted (edges, vertices) of sub's components, as a linear forest's tally
-    depends only on its path lengths; at k >= 2 the dihedral key."""
-    pid, _ = _power_table(n, k)
-    memo: dict[tuple, dict[int, int]] = {}
-
-    def tally(sub: tuple[int, ...]) -> dict[int, int]:
-        if k == 1:
-            key = tuple(components_of(sub)[1])
-        else:
-            key = _dihedral_key([pair_of(e) for e in sub], n, pid)
-        got = memo.get(key)
-        if got is None:
-            got = memo[key] = component_tally(sub, len(sub), "a")
-        return got
-
-    return tally
-
-
 def audit_prop2_reading_a(n: int, k: int, budget: int = DEFAULT_ORDER_BUDGET) -> AuditReport:
     """Reading (a): for each subgraph T of a member, every tally of T's own
     edge-subsets by component count must sit under the bound at t = |T|."""
-    tally = _reading_a_tally(n, k)
 
     def rows_of(sub, _cnt):
-        return _prop2_rows(n, k, len(sub), tally(sub))
+        return _prop2_rows(n, k, len(sub), component_tally(sub, len(sub), "a"))
 
     return _audit("prop2a", n, k, budget, rows_of)
 

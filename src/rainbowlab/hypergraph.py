@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetError, InputError
 
@@ -146,24 +146,26 @@ class Hypergraph:
     @cached_property
     def masks(self) -> tuple[int, ...]:
         """Each edge as a bitmask over element ids (internal fast path)."""
-        out = []
-        for e in self.edges:
-            m = 0
-            for x in e:
-                m |= 1 << x
-            out.append(m)
-        return tuple(out)
+        return tuple(map(_mask, self.edges))
 
     def replace_edges(self, edges: Sequence[tuple[int, ...]]) -> "Hypergraph":
         return Hypergraph(self.ground, tuple(edges), self.r, self.semantics)
 
 
-def _mask_of(elements: Iterable[int], ground: GroundSet) -> int:
+def _mask(ids: Iterable[int]) -> int:
+    """The ids as a bitmask: bit x set for each id x."""
     m = 0
-    for x in elements:
-        ground.check_element(x)
+    for x in ids:
         m |= 1 << x
     return m
+
+
+def _mask_of(elements: Iterable[int], ground: GroundSet) -> int:
+    """_mask of elements checked against the ground set."""
+    elements = tuple(elements)
+    for x in elements:
+        ground.check_element(x)
+    return _mask(elements)
 
 
 def count_superedges(hg: Hypergraph, elements: Iterable[int]) -> int:
@@ -225,9 +227,7 @@ def spread_up_to(hg: Hypergraph, s_max: int) -> SpreadReport:
                 if sub in seen:
                     continue
                 seen.add(sub)
-                smask = 0
-                for x in sub:
-                    smask |= 1 << x
+                smask = _mask(sub)
                 cnt = sum(1 for m in masks if m & smask == smask)
                 kappa = (big_m / cnt) ** (1.0 / s)
                 if kappa < per_size.get(s, math.inf):
@@ -384,24 +384,30 @@ def required_k0(
 
 
 # ----------------------------------------------------------------------------
-# text format: "N M r" header, then M lines of r sorted element ids
+# text formats: whitespace-separated integers, blank and "#" lines skipped
+
+def _int_lines(text: str) -> Iterator[tuple[int, str, list[int]]]:
+    """(line number, stripped line, its integers) for every line of text that
+    is neither blank nor a "#" comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            values = [int(p) for p in line.split()]
+        except ValueError:
+            raise InputError(f"line {lineno}: non-integer token in {line!r}")
+        yield lineno, line, values
+
+
+# "N M r" header, then M lines of r sorted element ids
 
 def read_hypergraph_text(text: str, semantics: str = DISTINCT_SETS) -> Hypergraph:
-    lines = text.splitlines()
-    idx = 0
     header: list[int] | None = None
     edges: list[tuple[int, ...]] = []
     expected = None
 
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        try:
-            values = [int(p) for p in parts]
-        except ValueError:
-            raise InputError(f"line {lineno}: non-integer token in {line!r}")
+    for lineno, line, values in _int_lines(text):
         if header is None:
             if len(values) != 3:
                 raise InputError(f"line {lineno}: expected header 'N M r', got {line!r}")

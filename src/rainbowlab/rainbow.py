@@ -54,8 +54,8 @@ def falling(a: int, b: int) -> int:
 
 def default_color_count(r: int, epsilon1: float) -> int:
     """Palette size ceil((1 + epsilon1) * r) used when q is not given."""
-    if epsilon1 <= 0:
-        raise InputError(f"epsilon1 must be positive, got {epsilon1}")
+    if not 0 < epsilon1 < math.inf:
+        raise InputError(f"epsilon1 must be positive and finite, got {epsilon1}")
     return math.ceil((1 + epsilon1) * r)
 
 
@@ -116,7 +116,6 @@ class RainbowStats:
     e_z2: Fraction
     ratio: float | None  # E(Z^2) / E(Z)^2, None when E(Z) = 0
     exact: bool = True   # False when the rational path overflowed the bit bound
-    z_observed: int | None = None
 
     def to_json(self) -> dict:
         return {

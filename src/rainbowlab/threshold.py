@@ -30,7 +30,7 @@ from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 from .errors import InputError
-from .hypergraph import pair_id, pair_of
+from .hypergraph import _int_lines, pair_id, pair_of
 from .seeding import make_rng
 
 __all__ = [
@@ -85,6 +85,8 @@ def sample_instance(n: int, k: int, q: int, m: int, rng) -> Instance:
     big_n = n * (n - 1) // 2
     if not 0 <= m <= big_n:
         raise InputError(f"m={m} out of range 0..{big_n}")
+    if q < 1:
+        raise InputError(f"palette size q must be >= 1, got {q}")
     ids = sorted(rng.sample(range(big_n), m))
     return Instance(n, k, q, tuple((e, rng.randrange(q)) for e in ids))
 
@@ -96,7 +98,6 @@ class TrialResult:
     found: bool | None
     nodes: int
     elapsed: float
-    budget_exhausted: bool
     witness: tuple[int, ...] | None = None
 
 
@@ -154,7 +155,7 @@ def rainbow_power_search(
         or palette.bit_count() < k * n
         or any(adj[v].bit_count() < 2 * k for v in range(n))
     ):
-        return TrialResult(False, 0, time.perf_counter() - t0, False)
+        return TrialResult(False, 0, time.perf_counter() - t0)
 
     # per level: positions of the placed vertices joined to the new vertex by
     # a power edge (back-edges, then wrap-around edges once level >= n-k);
@@ -179,7 +180,7 @@ def rainbow_power_search(
         if not avail:
             level -= 1
             if level == 0:
-                return TrialResult(False, nodes, time.perf_counter() - t0, False)
+                return TrialResult(False, nodes, time.perf_counter() - t0)
             used ^= 1 << seq[level]
             used_labels ^= placed_labels[level]
             link = links[level]
@@ -198,12 +199,12 @@ def rainbow_power_search(
 
         nodes += 1
         if nodes > budget:
-            return TrialResult(None, nodes, time.perf_counter() - t0, True)
+            return TrialResult(None, nodes, time.perf_counter() - t0)
         seq[level] = v
         if level == n - 1:
             witness = tuple(seq)
             _revalidate(inst, witness, require_rainbow)
-            return TrialResult(True, nodes, time.perf_counter() - t0, False, witness)
+            return TrialResult(True, nodes, time.perf_counter() - t0, witness)
         used |= low
         used_labels |= new
         placed_labels[level] = new
@@ -219,6 +220,16 @@ def rainbow_power_search(
 
 # ----------------------------------------------------------------------------
 # grids
+
+def _exposure_size(c: float, n: int, k: int) -> int:
+    """m = min(N, ceil(C * N / n^(1/k))) over the N = n(n-1)/2 edge slots of
+    K_n, with the nominal spread n^(1/k).  The min comes before the ceiling,
+    so a C whose product passes the float range gives m = N."""
+    if not 0 < c < math.inf:
+        raise InputError(f"exposure multiplier C must be positive and finite, got {c}")
+    big_n = n * (n - 1) // 2
+    return math.ceil(min(big_n, c * big_n / n ** (1 / k)))
+
 
 def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[float, float]:
     """Two-sided Wilson score interval for a binomial proportion."""
@@ -267,14 +278,7 @@ class ExperimentConfig:
             raise InputError(f"palette size q must be >= 1, got {self.q}")
         if self.n < 2 * self.k + 2:
             raise InputError(f"need n >= 2k+2 = {2 * self.k + 2}, got n={self.n}")
-        big_n = self.n * (self.n - 1) // 2
-        if self.c_grid is not None:
-            if any(c <= 0 for c in self.c_grid):
-                raise InputError("C values must be positive")
-        else:
-            for m in self.m_grid:
-                if not 0 <= m <= big_n:
-                    raise InputError(f"m={m} out of range 0..{big_n}")
+        self.points()  # checks every C or m value
 
     @property
     def n_slots(self) -> int:
@@ -282,14 +286,14 @@ class ExperimentConfig:
 
     def points(self) -> list[tuple[float, int]]:
         """(C, m) per grid point, sorted canonically by (m, C)."""
-        kappa_hat = self.n ** (1 / self.k)
-        out = []
         if self.c_grid is not None:
-            for c in self.c_grid:
-                m = min(self.n_slots, math.ceil(c * self.n_slots / kappa_hat))
-                out.append((c, m))
+            out = [(c, _exposure_size(c, self.n, self.k)) for c in self.c_grid]
         else:
+            kappa_hat = self.n ** (1 / self.k)
+            out = []
             for m in self.m_grid:
+                if not 0 <= m <= self.n_slots:
+                    raise InputError(f"m={m} out of range 0..{self.n_slots}")
                 out.append((m * kappa_hat / self.n_slots, m))
         return sorted(set(out), key=lambda p: (p[1], p[0]))
 
@@ -615,18 +619,9 @@ def emit_report(results: GridResults, out_dir, svg: bool = True, timing: bool = 
 # instance files: "n k q" header, then "u v color" per edge
 
 def read_instance_text(text: str) -> Instance:
-    lines = text.splitlines()
     header: tuple[int, int, int] | None = None
     edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        try:
-            values = [int(p) for p in parts]
-        except ValueError:
-            raise InputError(f"line {lineno}: non-integer token in {line!r}")
+    for lineno, line, values in _int_lines(text):
         if header is None:
             if len(values) != 3:
                 raise InputError(f"line {lineno}: expected header 'n k q', got {line!r}")

@@ -157,6 +157,53 @@ def test_negative_moment_trials_is_input_error(capsys):
     assert "--trials" in err
 
 
+def assert_one_error_line(code, out, err):
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [err.splitlines()[-1]]
+
+
+@pytest.mark.parametrize("flag,value", [("--C", "inf"), ("--C", "nan"), ("--epsilon1", "nan")])
+def test_fragment_rejects_non_finite_numbers(capsys, flag, value):
+    code, out, err = run_cli(capsys, "fragment", "--n", "6", "--k", "1", "--seed", "1", flag, value)
+    assert_one_error_line(code, out, err)
+    assert flag.lstrip("-") in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_threshold_rejects_non_finite_c(capsys, tmp_path, value):
+    code, out, err = run_cli(
+        capsys, "threshold", "--n", "6", "--k", "1", "--c-grid", value, "--trials", "1",
+        "--seed", "1", "--no-svg", "--out-dir", str(tmp_path),
+    )
+    assert_one_error_line(code, out, err)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_threshold_saturates_a_c_past_the_float_range(capsys, tmp_path):
+    # C * N overflows to inf; the exposure size is then every edge slot
+    code, _, err = run_cli(
+        capsys, "threshold", "--n", "6", "--k", "1", "--c-grid", "1e308", "--trials", "1",
+        "--seed", "1", "--no-svg", "--out-dir", str(tmp_path),
+    )
+    assert code == 0, err
+    rows = json.loads((tmp_path / "summary.json").read_text())["rows"]
+    assert [(row["C"], row["m"]) for row in rows] == [(1e308, 15)]
+
+
+def test_moments_rejects_an_infinite_epsilon1(capsys):
+    code, out, err = run_cli(capsys, "moments", "--n", "6", "--k", "1", "--epsilon1", "inf", "--trials", "0")
+    assert_one_error_line(code, out, err)
+    assert "epsilon1" in err
+
+
+def test_search_rejects_an_empty_palette_before_sampling(capsys):
+    code, out, err = run_cli(capsys, "search", "--n", "6", "--k", "1", "--m", "15", "--q", "0", "--seed", "1")
+    assert_one_error_line(code, out, err)
+    assert "palette size q" in err
+
+
 def test_search_budget_exhaustion_exits_3(capsys):
     code, out, _ = run_cli(
         capsys, "search", "--n", "12", "--k", "2", "--m", "66",

@@ -68,6 +68,18 @@ def test_config_m_and_p1():
 def test_config_m_clamps_at_full_ground_set():
     cfg = staged_config(c=100.0)
     assert cfg.m == 21
+    assert staged_config(c=1e308).m == 21  # C * N passes the float range
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("C", math.inf), ("C", math.nan), ("C", 0.0), ("epsilon1", math.nan), ("epsilon1", math.inf)],
+)
+def test_config_rejects_c_and_slack_outside_the_positive_floats(field, value):
+    kwargs = dict(q=9, C=4.0, epsilon1=0.5, seed=1, params=PowerParams(7, 1))
+    kwargs[field] = value
+    with pytest.raises(InputError, match=f"{field} must be positive and finite"):
+        TwoRoundConfig(**kwargs)
 
 
 def test_config_rejects_bad_mode_and_slack():

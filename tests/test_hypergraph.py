@@ -290,3 +290,17 @@ def test_reader_rejects_malformed_with_line_numbers(text, fragment):
     with pytest.raises(InputError) as err:
         read_hypergraph_text(text, semantics=DISTINCT_SETS)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("# family\n\n4 1 2\n  0 x \n", "line 4: non-integer token in '0 x'"),
+        ("\nN M r\n", "line 2: non-integer token in 'N M r'"),
+        ("4 1 2\n# edge\n0 1 2\n", "line 3: expected 2 ids, got 3"),
+    ],
+)
+def test_reader_messages_count_skipped_lines(text, message):
+    with pytest.raises(InputError) as err:
+        read_hypergraph_text(text)
+    assert str(err.value) == message

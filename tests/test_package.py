@@ -78,3 +78,61 @@ def test_package_modules_use_every_name_they_import():
 def test_unused_import_scan_sees_a_dead_import():
     source = "import math\nfrom typing import Iterator, Sequence\nx: 'Sequence[int]' = []\n"
     assert _unused_imports(source) == ["line 1: math", "line 2: Iterator"]
+
+
+def _unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Private top-level names a module defines that no module reads: not as
+    a loaded name, an attribute or an imported name."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read: set[str] = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            found.extend(
+                f"{module} line {node.lineno}: {name}"
+                for name in names
+                if name.startswith("_") and not name.startswith("__") and name not in read
+            )
+    return found
+
+
+def test_package_reads_every_private_name_it_defines():
+    package = Path(rainbowlab.__file__).parent
+    sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    assert _unread_private_names(sources) == []
+
+
+def test_private_name_scan_sees_a_dead_definition():
+    sources = {
+        "a.py": (
+            "_used = 1\n"
+            "_dead, _also = 2, 3\n"
+            "_typed: int = _also\n"
+            "def _helper():\n"
+            "    return _used\n"
+            "class _Gone:\n"
+            "    _inner = 0\n"
+            "__all__ = []\n"
+        ),
+        "b.py": "from .a import _helper\n_helper()\n",
+    }
+    assert _unread_private_names(sources) == [
+        "a.py line 2: _dead",
+        "a.py line 3: _typed",
+        "a.py line 6: _Gone",
+    ]

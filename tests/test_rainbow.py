@@ -6,6 +6,7 @@ frozen constants recomputed here per ordered pair with local arithmetic.
 """
 
 import json
+import math
 from dataclasses import asdict
 from fractions import Fraction
 from itertools import product
@@ -69,6 +70,12 @@ def test_default_color_count():
     assert default_color_count(10, 0.1) == 11
     assert default_color_count(5, 0.5) == 8
     assert default_color_count(5, 1e-9) == 6  # strictly more than r
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.5, math.nan, math.inf])
+def test_default_color_count_needs_a_positive_finite_slack(eps):
+    with pytest.raises(InputError, match="epsilon1 must be positive and finite"):
+        default_color_count(5, eps)
 
 
 # ----------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from rainbowlab.seeding import make_rng
 from rainbowlab.threshold import (
     ExperimentConfig,
     GridRow,
+    _exposure_size,
     Instance,
     emit_report,
     fit_failure_constant,
@@ -168,7 +169,6 @@ def test_search_budget_exhaustion_is_unknown():
     inst = Instance(8, 1, 56, tuple((e, e) for e in range(28)))
     res = rainbow_power_search(inst, budget=3)
     assert res.found is None
-    assert res.budget_exhausted
     assert res.nodes == 4  # stopped at the first node past the budget
     assert res.witness is None
 
@@ -280,6 +280,33 @@ def test_config_points_mapping():
     cfg = ExperimentConfig(n=12, k=2, q=27, trials=1, seed=1, c_grid=(0.5, 1.0, 2.0, 4.0))
     # m = min(66, ceil(C * 66 / sqrt(12)))
     assert cfg.points() == [(0.5, 10), (1.0, 20), (2.0, 39), (4.0, 66)]
+
+
+def test_exposure_size_matches_the_ceiling_then_min_formula():
+    # the min comes first in _exposure_size; for every finite product the
+    # two orders agree
+    for n, k in [(6, 1), (12, 2), (9, 3), (40, 1)]:
+        big_n = n * (n - 1) // 2
+        for c in [1e-9, 0.1, 0.5, 1.0, 1 / 3, 2.0, 4.0, 7.5, 1e6, 1e300]:
+            assert _exposure_size(c, n, k) == min(big_n, math.ceil(c * big_n / n ** (1 / k))), (n, k, c)
+    assert _exposure_size(1e308, 12, 2) == 66  # C * N overflows to inf
+
+
+@pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf])
+def test_exposure_size_rejects_c_outside_the_positive_floats(c):
+    with pytest.raises(InputError, match="must be positive and finite"):
+        _exposure_size(c, 12, 2)
+    with pytest.raises(InputError, match="must be positive and finite"):
+        ExperimentConfig(n=12, k=2, q=27, trials=1, seed=1, c_grid=(1.0, c))
+
+
+def test_sample_instance_checks_q_before_drawing():
+    class NoDraws:
+        def __getattr__(self, name):
+            raise AssertionError(f"drew {name} before validating")
+
+    with pytest.raises(InputError, match="palette size q"):
+        sample_instance(6, 1, 0, 15, NoDraws())
 
 
 def test_config_points_from_m_grid_sorted_and_deduped():
@@ -416,3 +443,17 @@ def test_instance_text_errors_carry_line_numbers(text, fragment):
     with pytest.raises(InputError) as err:
         read_instance_text(text)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("# instance\n\n5 1 3\n  0 1 z \n", "line 4: non-integer token in '0 1 z'"),
+        ("\nn k q\n", "line 2: non-integer token in 'n k q'"),
+        ("5 1 3\n# edge\n0 1\n", "line 3: expected 'u v color', got '0 1'"),
+    ],
+)
+def test_instance_reader_messages_count_skipped_lines(text, message):
+    with pytest.raises(InputError) as err:
+        read_instance_text(text)
+    assert str(err.value) == message
