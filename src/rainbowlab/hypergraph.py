@@ -348,8 +348,8 @@ def required_k0(
 ) -> K0Report:
     if not hg.edges:
         raise InputError("K0 audit is undefined for an empty family")
-    if kappa <= 0:
-        raise InputError(f"kappa must be positive, got {kappa}")
+    if not 0 < kappa < math.inf:
+        raise InputError(f"kappa must be positive and finite, got {kappa}")
     if not 0 < alpha < 1:
         raise InputError(f"alpha must be in (0, 1), got {alpha}")
 

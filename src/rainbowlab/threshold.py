@@ -82,6 +82,8 @@ class Instance:
 
 def sample_instance(n: int, k: int, q: int, m: int, rng) -> Instance:
     """Uniform m-subset of K_n's edge slots with independent uniform colors."""
+    if k < 1:
+        raise InputError(f"power k must be >= 1, got {k}")
     big_n = n * (n - 1) // 2
     if not 0 <= m <= big_n:
         raise InputError(f"m={m} out of range 0..{big_n}")
@@ -264,6 +266,8 @@ class ExperimentConfig:
     require_rainbow: bool = True
 
     def __post_init__(self):
+        if self.k < 1:
+            raise InputError(f"power k must be >= 1, got {self.k}")
         if (self.c_grid is None) == (self.m_grid is None):
             raise InputError("provide exactly one of c_grid or m_grid")
         if self.c_grid is not None and not self.c_grid:

@@ -19,6 +19,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def strict_json(text):
+    """json.loads that refuses the NaN, Infinity and -Infinity tokens."""
+    return json.loads(text, parse_constant=_no_constant)
+
+
 # ----------------------------------------------------------------------------
 # exit codes
 
@@ -104,14 +113,14 @@ def test_reading_a_rejects_the_n_range(capsys, flag):
     assert out == ""
     assert err.startswith("error:") and flag in err
     code, out, _ = run_cli(capsys, "audit-prop2", "--n", "7", "--budget", "1000")
-    assert code == 0 and json.loads(out)["ok"] is True
+    assert code == 0 and strict_json(out)["ok"] is True
 
 
 def test_audit_prop1_answers_past_the_enumeration_wall(capsys):
     # 1,814,400 canonical orders: the audit walks one member instead
     code, out, _ = run_cli(capsys, "audit-prop1", "--n", "11", "--k", "1")
     assert code == 0
-    data = json.loads(out)
+    data = strict_json(out)
     # checked counts the linear forests of K_11 with t <= 3 edges (each lies
     # on a Hamilton cycle): c paths on v = t + c vertices in
     # C(11, v) v! C(t-1, c-1) / (2^c c!) ways
@@ -135,7 +144,7 @@ def test_reading_b_names_n_min_below_2k_plus_2(capsys):
         capsys, "audit-prop2", "--reading", "b", "--k", "2", "--n-min", "6", "--n-max", "7"
     )
     assert code == 0
-    assert json.loads(out)["checked"] == 12 + 14
+    assert strict_json(out)["checked"] == 12 + 14
 
 
 def test_zero_sweep_trials_is_input_error(capsys):
@@ -188,7 +197,7 @@ def test_threshold_saturates_a_c_past_the_float_range(capsys, tmp_path):
         "--seed", "1", "--no-svg", "--out-dir", str(tmp_path),
     )
     assert code == 0, err
-    rows = json.loads((tmp_path / "summary.json").read_text())["rows"]
+    rows = strict_json((tmp_path / "summary.json").read_text())["rows"]
     assert [(row["C"], row["m"]) for row in rows] == [(1e308, 15)]
 
 
@@ -202,6 +211,55 @@ def test_search_rejects_an_empty_palette_before_sampling(capsys):
     code, out, err = run_cli(capsys, "search", "--n", "6", "--k", "1", "--m", "15", "--q", "0", "--seed", "1")
     assert_one_error_line(code, out, err)
     assert "palette size q" in err
+
+
+@pytest.mark.parametrize("grid", [["--c-grid", "1"], ["--m-grid", "3"]])
+@pytest.mark.parametrize("palette", [[], ["--q", "5"]])
+def test_threshold_names_a_power_below_one(capsys, tmp_path, grid, palette):
+    code, out, err = run_cli(
+        capsys, "threshold", "--n", "6", "--k", "0", *palette, *grid, "--trials", "1",
+        "--seed", "1", "--no-svg", "--out-dir", str(tmp_path),
+    )
+    assert_one_error_line(code, out, err)
+    assert "power k must be >= 1, got 0" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_search_names_a_power_below_one(capsys):
+    # the default palette ceil(1.1 k n) is 0 here; k is the input at fault
+    code, out, err = run_cli(capsys, "search", "--n", "6", "--k", "0", "--m", "15", "--seed", "1")
+    assert_one_error_line(code, out, err)
+    assert "power k must be >= 1, got 0" in err
+
+
+# every subcommand that prints JSON, at a small size, with the exit code it
+# must give; stdout must parse without the NaN and Infinity extensions, and a
+# non-finite kappa is refused rather than printed
+JSON_RUNS = [
+    (["family", "--n", "5"], 0),
+    (["profile", "--n", "5"], 0),
+    (["profile", "--n", "5", "--kappa", "2.5"], 0),
+    (["profile", "--n", "5", "--kappa", "nan"], 1),
+    (["profile", "--n", "5", "--kappa", "inf"], 1),
+    (["audit-prop1", "--n", "8", "--k", "1"], 0),
+    (["audit-prop2", "--reading", "a", "--n", "9", "--k", "1"], 0),
+    (["audit-prop2", "--reading", "b", "--k", "1", "--n-min", "20", "--n-max", "23"], 0),
+    (["audit-chain", "--n", "7", "--k", "1"], 0),
+    (["moments", "--n", "5", "--k", "1", "--q", "6", "--trials", "200", "--seed", "3"], 0),
+    (["fragment", "--n", "7", "--k", "1", "--q", "9", "--C", "4", "--seed", "3"], 0),
+    (["fragment", "--n", "7", "--k", "1", "--q", "9", "--sweep", "1,2", "--sweep-trials", "5", "--seed", "3"], 0),
+]
+
+
+@pytest.mark.parametrize("argv,want", JSON_RUNS, ids=[" ".join(argv) for argv, _ in JSON_RUNS])
+def test_json_output_parses_strictly(capsys, argv, want):
+    code, out, err = run_cli(capsys, *argv)
+    data = strict_json(out) if out else None
+    if want:
+        assert_one_error_line(code, out, err)
+    else:
+        assert code == 0, err
+        assert isinstance(data, dict)
 
 
 def test_search_budget_exhaustion_exits_3(capsys):
@@ -230,7 +288,7 @@ def test_config_supplies_defaults_and_flags_override(capsys, tmp_path):
     out1 = tmp_path / "a"
     code, _, _ = run_cli(capsys, "threshold", "--config", str(cfg), "--out-dir", str(out1))
     assert code == 0
-    rows = json.loads((out1 / "summary.json").read_text())["rows"]
+    rows = strict_json((out1 / "summary.json").read_text())["rows"]
     assert [r["trials"] for r in rows] == [6, 6]
 
     out2 = tmp_path / "b"
@@ -239,7 +297,7 @@ def test_config_supplies_defaults_and_flags_override(capsys, tmp_path):
         "--trials", "3",
     )
     assert code == 0
-    rows = json.loads((out2 / "summary.json").read_text())["rows"]
+    rows = strict_json((out2 / "summary.json").read_text())["rows"]
     assert [r["trials"] for r in rows] == [3, 3]
 
 
@@ -248,7 +306,7 @@ def test_seed_fallback_is_announced(capsys):
                              "--q", "6", "--trials", "50")
     assert code == 0
     assert str(DEFAULT_SEED) in err
-    assert json.loads(out)["seed"] == DEFAULT_SEED
+    assert strict_json(out)["seed"] == DEFAULT_SEED
 
 
 def test_exact_moments_need_no_seed(capsys):
@@ -256,7 +314,7 @@ def test_exact_moments_need_no_seed(capsys):
                              "--q", "6", "--trials", "0")
     assert code == 0
     assert err == ""
-    assert "seed" not in json.loads(out)
+    assert "seed" not in strict_json(out)
 
 
 def test_power_family_moments_and_profile_answer_at_n9(capsys):
@@ -264,12 +322,12 @@ def test_power_family_moments_and_profile_answer_at_n9(capsys):
     # the default 4M pair budget
     code, out, _ = run_cli(capsys, "moments", "--n", "9", "--k", "1", "--q", "12", "--trials", "0")
     assert code == 0
-    data = json.loads(out)
+    data = strict_json(out)
     assert data["M"] == 20160
     assert data["E_Z_exact"] == "67375/216"  # 20160 (12)_9 / 12^9
     code, out, _ = run_cli(capsys, "profile", "--n", "9", "--k", "1")
     assert code == 0
-    fmax = json.loads(out)["fmax"]
+    fmax = strict_json(out)["fmax"]
     assert sum(fmax) == 20160 and fmax[9] == 1
 
 
@@ -277,7 +335,7 @@ def test_explicit_seed_is_not_announced(capsys):
     _, out, err = run_cli(capsys, "moments", "--n", "5", "--k", "1",
                           "--q", "6", "--trials", "50", "--seed", "4")
     assert str(DEFAULT_SEED) not in err
-    assert json.loads(out)["seed"] == 4
+    assert strict_json(out)["seed"] == 4
 
 
 # ----------------------------------------------------------------------------
@@ -297,8 +355,8 @@ def test_logs_go_to_stderr_and_json_to_stdout(capsys, tmp_path):
 def test_out_dir_receives_json_copy(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "family", "--n", "5", "--out-dir", str(tmp_path))
     assert code == 0
-    copied = json.loads((tmp_path / "family_n5_k1.json").read_text())
-    assert copied == json.loads(out)
+    copied = strict_json((tmp_path / "family_n5_k1.json").read_text())
+    assert copied == strict_json(out)
     assert copied["orders"] == 12
 
 
@@ -363,7 +421,7 @@ def test_fragment_sweep_reports_rates_and_fit(capsys):
         "--sweep-trials", "20", "--seed", "3",
     )
     assert code == 0
-    data = json.loads(out)
+    data = strict_json(out)
     assert [row["omega"] for row in data["rows"]] == [1, 2, 3]
     assert all(0.0 <= row["failure_rate"] <= 1.0 for row in data["rows"])
     assert "fit" in data
@@ -389,7 +447,7 @@ def test_flag_snapshot_matches():
     import argparse
 
     _, registry = build_parser()
-    snap = json.loads((DATA / "cli_flags.json").read_text())
+    snap = strict_json((DATA / "cli_flags.json").read_text())
     got = {}
     for name, sub in registry.items():
         flags = {}

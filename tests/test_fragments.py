@@ -82,6 +82,25 @@ def test_config_rejects_c_and_slack_outside_the_positive_floats(field, value):
         TwoRoundConfig(**kwargs)
 
 
+def test_config_family_builds_its_hypergraph_once(monkeypatch):
+    # every trial over one PowerParams shares one frozen view of the family
+    import rainbowlab.hampow as hampow
+
+    built = []
+    hypergraph = hampow.Hypergraph
+
+    def counting(*args):
+        built.append(args)
+        return hypergraph(*args)
+
+    monkeypatch.setattr(hampow, "_family_cache", {})
+    monkeypatch.setattr(hampow, "Hypergraph", counting)
+    views = [staged_config(seed=s, omega=1 + s % 3).family() for s in range(180)]
+    assert len(built) == 1
+    assert all(hg is views[0] for hg in views)
+    assert len(views[0]) == 360 and views[0].transitive
+
+
 def test_config_rejects_bad_mode_and_slack():
     with pytest.raises(InputError):
         staged_config().__class__(

@@ -31,7 +31,6 @@ from rainbowlab.hampow import (
     canonical_orders,
     component_tally,
     components_of,
-    count_extensions,
     enumerate_family,
     f_chain_bound,
     order_count,
@@ -42,6 +41,7 @@ from rainbowlab.hampow import (
 from rainbowlab.hypergraph import (
     DISTINCT_SETS,
     LABELED_ORDERS,
+    count_superedges,
     format_hypergraph_text,
     pair_id,
     pair_of,
@@ -176,12 +176,17 @@ def test_hypergraph_views():
     want = [power_edge_set(o, 2) for o in fam.orders]
     assert list(fam.hypergraph(LABELED_ORDERS).edges) == want
     assert list(fam.order_masks) == [sum(1 << x for x in e) for e in want]
+    for semantics in (DISTINCT_SETS, LABELED_ORDERS):  # each view is built once
+        hg = fam.hypergraph(semantics)
+        assert fam.hypergraph(semantics) is hg
+        assert hg.transitive and hg.semantics == semantics
 
 
 def test_hypergraph_rejects_unknown_semantics():
     fam = enumerate_family(PowerParams(6, 2))
-    with pytest.raises(InputError):
-        fam.hypergraph("distinct")
+    for _ in range(2):  # the first refusal leaves nothing behind
+        with pytest.raises(InputError):
+            fam.hypergraph("distinct")
 
 
 def test_each_order_power_is_computed_once(monkeypatch):
@@ -269,13 +274,16 @@ def test_components_against_bfs():
 
 
 def test_components_random_subsets():
-    import random
-
     rng = random.Random(42)
-    for _ in range(50):
-        ids = tuple(rng.sample(range(28), rng.randint(1, 10)))  # slots of K8
-        _, per_comp = components_of(ids)
-        assert per_comp == bfs_components(ids)
+    for n in (8, *range(12, 21)):  # edge slots of K_8 and of K_12..K_20
+        for _ in range(50):
+            ids = rng.sample(range(n * (n - 1) // 2), rng.randint(1, n))
+            ids += rng.choices(ids, k=rng.randint(0, 3))  # a repeated id counts once
+            stats, per_comp = components_of(ids)
+            assert per_comp == bfs_components(set(ids))
+            assert stats.t == len(set(ids))
+            assert stats.c == len(per_comp)
+            assert stats.v == sum(v for _, v in per_comp)
 
 
 # ----------------------------------------------------------------------------
@@ -347,32 +355,31 @@ def test_prop1_audit_past_the_float_range():
 
 def test_count_extensions_single_edge_n9():
     fam = enumerate_family(PowerParams(9, 1))
-    ec = count_extensions(fam, (pair_id(0, 1),))
-    assert ec.orders == 5040  # (n-2)! orders of the rest
-    assert ec.distinct_sets == 5040  # k=1: sets and orders coincide for n >= 5
+    edge = (pair_id(0, 1),)
+    assert count_superedges(fam.hypergraph(LABELED_ORDERS), edge) == 5040  # (n-2)! orders of the rest
+    assert count_superedges(fam.hypergraph(DISTINCT_SETS), edge) == 5040  # k=1: sets and orders coincide for n >= 5
 
 
 def test_count_extensions_brute_force_n6():
-    fam = enumerate_family(PowerParams(6, 1))
+    labeled = enumerate_family(PowerParams(6, 1)).hypergraph(LABELED_ORDERS)
     orders = list(canonical_orders(6))
     for t_ids in list(combinations(range(15), 2))[:40]:
         want = sum(1 for o in orders if set(t_ids) <= set(power_edge_set(o, 1)))
-        assert count_extensions(fam, t_ids).orders == want
+        assert count_superedges(labeled, t_ids) == want
 
 
 def test_count_extensions_distinct_vs_orders_n6_k2():
     fam = enumerate_family(PowerParams(6, 2))
-    ec = count_extensions(fam, (pair_id(0, 1),))
+    edge = (pair_id(0, 1),)
     # every one of the 15 sets uses 12 of the 15 slots: each slot is in 12 sets
-    assert ec.distinct_sets == 12
-    assert ec.orders == 48  # 60 orders spread 4-to-1 over the 15 sets
+    assert count_superedges(fam.hypergraph(DISTINCT_SETS), edge) == 12
+    assert count_superedges(fam.hypergraph(LABELED_ORDERS), edge) == 48  # 60 orders spread 4-to-1 over the 15 sets
 
 
 def test_count_extensions_empty_subgraph_counts_everything():
     fam = enumerate_family(PowerParams(6, 2))
-    ec = count_extensions(fam, ())
-    assert ec.orders == 60
-    assert ec.distinct_sets == 15
+    assert count_superedges(fam.hypergraph(LABELED_ORDERS), ()) == 60
+    assert count_superedges(fam.hypergraph(DISTINCT_SETS), ()) == 15
 
 
 # ----------------------------------------------------------------------------
@@ -671,11 +678,11 @@ def _random_member_subsets(n, k, sizes, draws, seed):
 
 @pytest.mark.parametrize("n,k", [(8, 1), (9, 1), (7, 2), (8, 2), (9, 2)])
 def test_extension_counts_match_enumeration(n, k):
-    fam = enumerate_family(PowerParams(n, k))
+    labeled = enumerate_family(PowerParams(n, k)).hypergraph(LABELED_ORDERS)
     count = _ExtensionCounter(n, k, budget=10**7)
     sizes = range(1, n - 1) if k == 1 else range(1, 5)
     for sub in _random_member_subsets(n, k, sizes, 60, seed=n * 10 + k):
-        assert count(sub) == count_extensions(fam, sub).orders, sub
+        assert count(sub) == count_superedges(labeled, sub), sub
 
 
 def test_k1_closed_form_matches_placement_search():

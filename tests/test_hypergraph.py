@@ -4,6 +4,7 @@ Expected values are either recomputed in-test by brute force over explicit
 permutations, or frozen small constants checked by hand.
 """
 
+import math
 from itertools import combinations, permutations
 
 import pytest
@@ -241,6 +242,12 @@ def test_required_k0_constraint_binds():
     tight = max(v for v in rep.k0_min.values() if v is not None)
     assert rep.passes(tight + 1e-9)
     assert not rep.passes(tight - 1e-6)
+
+
+@pytest.mark.parametrize("kappa", [0.0, -1.0, math.nan, math.inf])
+def test_required_k0_rejects_kappa_outside_the_positive_floats(kappa):
+    with pytest.raises(InputError, match="kappa must be positive and finite"):
+        required_k0(cycle_family(5), kappa=kappa, alpha=0.5)
 
 
 def test_required_k0_rejects_empty_family():

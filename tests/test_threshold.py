@@ -307,6 +307,9 @@ def test_sample_instance_checks_q_before_drawing():
 
     with pytest.raises(InputError, match="palette size q"):
         sample_instance(6, 1, 0, 15, NoDraws())
+    # k comes first: at k = 0 the default palette ceil(1.1kn) is 0 as well
+    with pytest.raises(InputError, match="power k must be >= 1, got 0"):
+        sample_instance(6, 0, 0, 15, NoDraws())
 
 
 def test_config_points_from_m_grid_sorted_and_deduped():
@@ -325,6 +328,10 @@ def test_config_validation_errors():
         ExperimentConfig(n=6, k=1, q=8, trials=5, seed=1, m_grid=(99,))
     with pytest.raises(InputError):
         ExperimentConfig(n=5, k=2, q=8, trials=5, seed=1, c_grid=(1.0,))
+    # k = 0 is named before q and before the grid divides by k
+    for grid in ({"c_grid": (1.0,)}, {"m_grid": (3,)}):
+        with pytest.raises(InputError, match="power k must be >= 1, got 0"):
+            ExperimentConfig(n=6, k=0, q=0, trials=1, seed=1, **grid)
 
 
 def test_run_grid_row_bookkeeping():
