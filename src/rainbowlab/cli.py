@@ -2,9 +2,10 @@
 
 One subcommand per job, JSON on stdout for machine-readable reports, logs on
 stderr only.  Exit codes: 0 completed, 1 bad input or config, 2 usage error,
-3 budget exhausted.  A --config file provides flag defaults; command-line
-flags always win.  Randomized subcommands fall back to a fixed, announced
-seed when --seed is omitted, so every published run is replayable.
+3 budget exhausted.  A --config file provides flag defaults, each checked as
+its flag is; command-line flags always win.  Randomized subcommands fall
+back to a fixed, announced seed when --seed is omitted, so every published
+run is replayable.
 """
 
 from __future__ import annotations
@@ -50,9 +51,9 @@ def _resolve_seed(args) -> int:
     return args.seed
 
 
-def _need_n(args) -> None:
-    if args.n is None:
-        raise InputError("--n is required (as a flag or a config key)")
+def _need(args, dest: str) -> None:
+    if getattr(args, dest) is None:
+        raise InputError(f"--{dest} is required (as a flag or a config key)")
 
 
 def _emit(payload: dict, args, filename: str) -> None:
@@ -92,7 +93,7 @@ def _load_hypergraph(args):
 # handlers
 
 def cmd_family(args) -> int:
-    _need_n(args)
+    _need(args, "n")
     fam = _family(args)
     payload = {
         "n": args.n,
@@ -155,7 +156,7 @@ def cmd_profile(args) -> int:
 
 
 def cmd_audit_prop1(args) -> int:
-    _need_n(args)
+    _need(args, "n")
     report = hampow.audit_prop1(args.n, args.k, budget=args.budget)
     _emit(report.to_json(), args, f"audit_prop1_n{args.n}_k{args.k}.json")
     return 0
@@ -167,7 +168,7 @@ def cmd_audit_prop2(args) -> int:
         if flag in getattr(args, "given", ()):
             raise InputError(f"{flag} does not apply to reading ({args.reading})")
     if args.reading == "a":
-        _need_n(args)
+        _need(args, "n")
         report = hampow.audit_prop2_reading_a(args.n, args.k, budget=args.budget)
     else:
         if args.n is not None:
@@ -183,7 +184,7 @@ def cmd_audit_prop2(args) -> int:
 
 
 def cmd_audit_chain(args) -> int:
-    _need_n(args)
+    _need(args, "n")
     params = hampow.PowerParams(args.n, args.k)
     t_max = args.t_max if args.t_max is not None else params.t_max
     if not 1 <= t_max <= params.t_max:
@@ -197,7 +198,7 @@ def cmd_audit_chain(args) -> int:
 
 
 def cmd_moments(args) -> int:
-    _need_n(args)
+    _need(args, "n")
     if args.trials < 0:
         raise InputError("--trials must be >= 0 (0 runs the exact moments only)")
     fam = _family(args)
@@ -231,7 +232,7 @@ def _fragment_config(args, seed: int, omega=None) -> fragments.TwoRoundConfig:
 
 
 def cmd_fragment(args) -> int:
-    _need_n(args)
+    _need(args, "n")
     seed = _resolve_seed(args)
     if args.sweep is None:
         record = fragments.run_two_round(_fragment_config(args, seed))
@@ -272,7 +273,7 @@ def cmd_fragment(args) -> int:
 
 
 def cmd_threshold(args) -> int:
-    _need_n(args)
+    _need(args, "n")
     seed = _resolve_seed(args)
     q = args.q if args.q is not None else math.ceil(1.1 * args.k * args.n)
     config = threshold.ExperimentConfig(
@@ -322,6 +323,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_report(args) -> int:
+    _need(args, "input")
     path = Path(args.input)
     try:
         data = json.loads(_read_text(path))
@@ -498,7 +500,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.set_defaults(func=cmd_search)
 
     p = add("report", "re-emit CSV/SVG from an archived grid summary.json")
-    p.add_argument("--input", metavar="FILE", required=True, help="summary.json from a grid run")
+    # not argparse-required, like --n: a --config file may supply it
+    p.add_argument("--input", metavar="FILE", default=None, help="summary.json from a grid run")
     p.add_argument("--no-svg", action="store_true", help="skip the SVG plot")
     p.add_argument("--timing", action="store_true", help="keep stored mean_ms values")
     p.set_defaults(func=cmd_report, out_dir="out")
@@ -506,7 +509,50 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, registry
 
 
-def _load_config(path_text: str, subparser: argparse.ArgumentParser) -> dict:
+# flag type -> the JSON values a config key may give it, and their name
+_CONFIG_TYPES = {
+    int: (int, "an integer"),
+    float: ((int, float), "a number"),
+    None: (str, "a string"),
+    _ints: (int, "a list of integers or a comma-separated string"),
+    _floats: ((int, float), "a list of numbers or a comma-separated string"),
+}
+
+
+def _config_value(action: argparse.Action, key: str, value):
+    """A config value held to its flag's checks: true or false for an on/off
+    flag, a JSON list or the command-line string for a list flag, one JSON
+    value of the flag's type within its choices for any other.  Values pass
+    through the flag's own type, so they come out as the command line gives
+    them."""
+    kinds, name = _CONFIG_TYPES[action.type]
+
+    def fits(x) -> bool:
+        return isinstance(x, kinds) and not isinstance(x, bool)
+
+    text = str(value)
+    if action.nargs == 0:
+        ok, name = isinstance(value, bool), "true or false"
+    elif action.type in (_ints, _floats):
+        ok = isinstance(value, str) or isinstance(value, list) and all(map(fits, value))
+        if isinstance(value, list):
+            text = ",".join(map(str, value))
+    elif action.choices is not None:
+        ok, name = value in action.choices, "one of " + ", ".join(map(repr, action.choices))
+    else:
+        ok = fits(value)
+    if not ok:
+        raise InputError(f"config key {key!r} takes {name}, got {json.dumps(value)}")
+    try:
+        return action.type(text) if action.type else value
+    except argparse.ArgumentTypeError as exc:
+        raise InputError(f"config key {key!r}: {exc}")
+
+
+def _apply_config(path_text: str, subparser: argparse.ArgumentParser) -> set[str]:
+    """Make a config file's values the subcommand's defaults, each checked as
+    its flag is; null keeps the default.  Returns the flags the config moves
+    off their defaults, which a handler treats as given."""
     path = Path(path_text)
     try:
         data = json.loads(_read_text(path))
@@ -514,14 +560,17 @@ def _load_config(path_text: str, subparser: argparse.ArgumentParser) -> dict:
         raise InputError(f"config {path} is not valid JSON: {exc}")
     if not isinstance(data, dict):
         raise InputError(f"config {path} must hold a JSON object of flag values")
-    allowed = {a.dest for a in subparser._actions} - {"help", "config", "func"}
+    actions = {a.dest: a for a in subparser._actions if a.dest not in ("help", "config")}
     defaults = {}
     for key, value in data.items():
-        dest = key.replace("-", "_")
-        if dest not in allowed:
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
             raise InputError(f"config {path}: unknown key {key!r}")
-        defaults[dest] = value
-    return defaults
+        if value is not None:
+            defaults[action.dest] = _config_value(action, key, value)
+    given = {actions[d].option_strings[0] for d, v in defaults.items() if v != actions[d].default}
+    subparser.set_defaults(**defaults)
+    return given
 
 
 def main(argv=None) -> int:
@@ -532,11 +581,12 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         if getattr(args, "config", None):
-            registry[args.subcommand].set_defaults(**_load_config(args.config, registry[args.subcommand]))
+            given = _apply_config(args.config, registry[args.subcommand])
             try:
                 args = parser.parse_args(argv)
             except SystemExit as exc:
                 return int(exc.code or 0)
+            args.given = getattr(args, "given", frozenset()) | given
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -169,9 +169,13 @@ def min_fragment(
     """Scan H* for the member inside A* u W0 leaving the fewest elements uncovered."""
     if not 0 <= astar_index < len(hstar.edges):
         raise InputError(f"member index {astar_index} out of range")
+    return _min_fragment(hstar, astar_index, _mask_of(w0, hstar.ground), omega)
+
+
+def _min_fragment(hstar: Hypergraph, astar_index: int, w0_mask: int, omega: int) -> FragmentRecord:
+    """min_fragment for a member index in range and W0 as a checked bitmask."""
     if omega < 1:
         raise InputError(f"omega must be >= 1, got {omega}")
-    w0_mask = _mask_of(w0, hstar.ground)
     masks = hstar.masks
     allowed = masks[astar_index] | w0_mask
 
@@ -215,7 +219,9 @@ def classify_fragments(hstar: Hypergraph, w0: Sequence[int], omega: int) -> Clas
     """Minimum fragments for every member of H*; empty H* is degenerate, not an error."""
     if not hstar.edges:
         return ClassificationOutcome(records=(), success=False, bad_count=0, degenerate=True)
-    records = tuple(min_fragment(hstar, i, w0, omega) for i in range(len(hstar.edges)))
+    # every member shares W0: its mask is built and checked once
+    w0_mask = _mask_of(w0, hstar.ground)
+    records = tuple(_min_fragment(hstar, i, w0_mask, omega) for i in range(len(hstar.edges)))
     bad = sum(1 for rec in records if not rec.good)
     hist: dict[int, int] = {}
     for rec in records:

@@ -285,13 +285,23 @@ def _merge(ends: Iterable[int]) -> list[int]:
     return comps
 
 
+def _ends(edge_ids: Iterable[int]) -> list[int]:
+    """Each K_n edge slot as its endpoint mask (1 << u) | (1 << v)."""
+    return [(1 << u) | (1 << v) for u, v in map(pair_of, edge_ids)]
+
+
+def _shape(ends: Sequence[int]) -> list[tuple[int, int]]:
+    """The sorted (edges, vertices) of each component of _merge(ends)."""
+    return sorted((sum(1 for m in ends if m & x), x.bit_count()) for x in _merge(ends))
+
+
 def components_of(edge_ids: Iterable[int]) -> tuple[SubgraphStats, list[tuple[int, int]]]:
     """Component stats of the graph formed by the given K_n edge slots.
 
     Returns the overall stats and a per-component list of (edges, vertices).
     """
-    ends = [(1 << u) | (1 << v) for u, v in map(pair_of, set(edge_ids))]
-    per_comp = sorted((sum(1 for m in ends if m & x), x.bit_count()) for x in _merge(ends))
+    ends = _ends(set(edge_ids))
+    per_comp = _shape(ends)
     stats = SubgraphStats(t=len(ends), c=len(per_comp), v=sum(v for _, v in per_comp))
     return stats, per_comp
 
@@ -353,17 +363,17 @@ def component_tally(edge_ids: Sequence[int], t: int, reading: str) -> dict[int, 
             raise InputError(
                 f"reading (a) takes the t-edge subgraph itself; got {len(ids)} edges for t={t}"
             )
-        subs = chain.from_iterable(combinations(ids, size) for size in range(1, t + 1))
-        counts = (components_of(sub)[0].c for sub in subs)
+        sizes = range(1, t + 1)
     elif reading == "b":
         if t < 1 or t > len(ids):
             raise InputError(f"t={t} out of range for a host with {len(ids)} edges")
         # brute force, kept as the oracle of _member_tallies
-        ends = [(1 << u) | (1 << v) for u, v in map(pair_of, ids)]
-        counts = map(len, map(_merge, combinations(ends, t)))
+        sizes = (t,)
     else:
         raise InputError(f"reading must be 'a' or 'b', got {reading!r}")
-    return dict(Counter(counts))
+    ends = _ends(ids)
+    subs = chain.from_iterable(combinations(ends, size) for size in sizes)
+    return dict(Counter(map(len, map(_merge, subs))))
 
 
 def _canonical(labels: tuple[int, ...]) -> tuple[int, ...]:
@@ -438,36 +448,6 @@ def _member_tallies(n: int, k: int, t_max: int) -> list[dict[int, int]]:
         {c: cnt for c in range(1, t + 1) if (cnt := total >> bits * (t * width + c) & slot)}
         for t in range(width)
     ]
-
-
-@dataclass(frozen=True)
-class StructureReport:
-    """Per-component edge/vertex balance for a subgraph of a member.
-
-    Each component with e edges and v vertices must satisfy
-    e <= k*v - (2k-1), and summing gives t <= k*v_total - (2k-1)*c.
-    """
-
-    stats: SubgraphStats
-    per_component: tuple[tuple[int, int], ...]
-    component_ok: tuple[bool, ...]
-    overall_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.overall_ok and all(self.component_ok)
-
-
-def _structure_report(ids: Sequence[int], k: int) -> StructureReport:
-    stats, per_comp = components_of(ids)
-    comp_ok = tuple(e <= k * v - (2 * k - 1) for e, v in per_comp)
-    overall = stats.t <= k * stats.v - (2 * k - 1) * stats.c
-    return StructureReport(
-        stats=stats,
-        per_component=tuple(per_comp),
-        component_ok=comp_ok,
-        overall_ok=overall,
-    )
 
 
 @dataclass(frozen=True)
@@ -686,12 +666,13 @@ def _audit(
     count(S), the canonical orders whose power contains S, comes from
     placement counting (_ExtensionCounter), with no order enumerated.
 
-    The walk first groups the subsets into classes by a key that the
+    The walk groups the subsets into classes by a key that the
     automorphisms of M keep: at k = 1 the sorted (edges, vertices) of S's
     components, which are paths, so the key is S's isomorphism class; at
     k >= 2 the dihedral key, S's class under rotation and reflection of Z_n.
-    count(S) and rows_of(S, ...) then run once per class, on its first
-    subset in walk order, so rows_of may depend on S only through its class.
+    count(S) runs when the walk first meets a class, so a placement search
+    past the budget stops the walk there, and rows_of(S, ...) runs once per
+    class on that first subset, so it may depend on S only through its class.
 
     `checked` is the number of distinct subgraphs of members, an orbit sum:
     each such T lies in count(T) of the N = (n-1)!/2 order powers, and each
@@ -713,26 +694,25 @@ def _audit(
         raise BudgetError(
             f"audit ({n}, {k}) walks {walked} subgraphs of a member, over the work budget {budget}"
         )
-    # class key -> [first subset in walk order, subsets in the class]
+    count = _ExtensionCounter(n, k, budget - walked)
+    # each subset's endpoint masks (k = 1) or vertex pairs (k >= 2), walked
+    # in step with its pair ids
+    marks = _ends(member) if k == 1 else [pair_of(e) for e in member]
+    # class key -> [first subset in walk order, its count, subsets in the class]
     classes: dict[tuple, list] = {}
     for t in sizes:
-        for sub in combinations(member, t):
-            if k == 1:
-                key = tuple(components_of(sub)[1])
-            else:
-                key = _dihedral_key([pair_of(e) for e in sub], n, pid)
+        for sub, part in zip(combinations(member, t), combinations(marks, t)):
+            key = tuple(_shape(part)) if k == 1 else _dihedral_key(part, n, pid)
             cls = classes.get(key)
             if cls is None:
-                classes[key] = [sub, 1]
+                classes[key] = [sub, count(sub), 1]
             else:
-                cls[1] += 1
-    count = _ExtensionCounter(n, k, budget - walked)
+                cls[2] += 1
     total = order_count(n)
     worst: dict[tuple[int, int], AuditRow] = {}
     failing: dict[AuditRow, Fraction] = {}
     checked = Fraction(0)
-    for sub, size in classes.values():
-        cnt = count(sub)
+    for sub, cnt, size in classes.values():
         times = Fraction(total * size, cnt)
         checked += times
         for row in rows_of(sub, cnt):
@@ -775,14 +755,16 @@ def audit_prop1(n: int, k: int, budget: int = DEFAULT_ORDER_BUDGET) -> AuditRepo
 
 
 def audit_structure(n: int, k: int, budget: int = DEFAULT_ORDER_BUDGET) -> AuditReport:
-    """Exhaustive edge/vertex balance check over all subgraphs of all members."""
+    """Exhaustive edge/vertex balance check over all subgraphs of all members:
+    each component with e edges and v vertices must have e <= k*v - (2k-1)."""
 
     def rows_of(sub, _cnt):
-        rep = _structure_report(sub, k)
-        stats = rep.stats
-        # "exact" records the subgraph size, "bound" the balance ceiling.
+        stats, per_comp = components_of(sub)
+        # "exact" records the subgraph size, "bound" the balance ceiling,
+        # the sum of the per-component ceilings k*v - (2k-1)
         bound = float(k * stats.v - (2 * k - 1) * stats.c)
-        return [AuditRow(n, k, stats.t, stats.c, stats.t, bound, rep.ok)]
+        ok = all(e <= k * v - (2 * k - 1) for e, v in per_comp)
+        return [AuditRow(n, k, stats.t, stats.c, stats.t, bound, ok)]
 
     return _audit("structure", n, k, budget, rows_of)
 

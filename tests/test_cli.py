@@ -301,6 +301,109 @@ def test_config_supplies_defaults_and_flags_override(capsys, tmp_path):
     assert [r["trials"] for r in rows] == [3, 3]
 
 
+CONFIG_REPROS = [
+    (["audit-prop1"], {"n": 7.5}, "'n'"),
+    (["audit-prop1"], {"n": [7]}, "'n'"),
+    (["audit-prop1"], {"n": 7, "k": 1.0}, "'k'"),
+    # an integer flag takes a JSON integer, as `--budget 1e6` is refused
+    (["audit-prop1"], {"n": 7, "budget": 1e6}, "'budget'"),
+    (["threshold", "--seed", "1", "--trials", "2"], {"n": 6, "c_grid": 1}, "'c_grid'"),
+    (["threshold", "--seed", "1", "--trials", "2"], {"n": 6, "c_grid": [True]}, "'c_grid'"),
+    (["threshold", "--seed", "1", "--trials", "2"], {"n": 6, "m_grid": "6,x"}, "'m_grid'"),
+    (["audit-prop2"], {"n": 7, "reading": "c"}, "'reading'"),
+    (["fragment", "--seed", "1"], {"n": 7, "mode": 3}, "'mode'"),
+    (["family"], {"n": 6, "semantics": None, "out_dir": 5}, "'out_dir'"),
+    (["threshold", "--seed", "1", "--trials", "2", "--c-grid", "1"], {"n": 6, "no_svg": "no"}, "'no_svg'"),
+    # a wrong-reading flag from the config is refused as on the command line
+    (["audit-prop2"], {"n": 7, "n_min": 30}, "--n-min"),
+    (["audit-prop2", "--reading", "b"], {"budget": 5}, "--budget"),
+]
+
+
+@pytest.mark.parametrize("argv,config,named", CONFIG_REPROS, ids=[json.dumps(c) for _, c, _ in CONFIG_REPROS])
+def test_config_values_get_the_flag_checks(capsys, tmp_path, argv, config, named):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg), "--out-dir", str(tmp_path / "out"))
+    assert_one_error_line(code, out, err)
+    assert named in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_matches_the_command_line_spelling(capsys, tmp_path):
+    # a list as JSON or as the comma string, numbers through the flag's type
+    grid = ["threshold", "--n", "6", "--q", "8", "--trials", "3", "--seed", "2"]
+    files = []
+    for i, c_grid in enumerate([None, [1, 2.5], "1,2.5"]):
+        if c_grid is None:
+            extra = ["--c-grid", "1,2.5"]
+        else:
+            cfg = tmp_path / f"c{i}.json"
+            cfg.write_text(json.dumps({"c_grid": c_grid}))
+            extra = ["--config", str(cfg)]
+        code, _, err = run_cli(capsys, *grid, *extra, "--out-dir", str(tmp_path / str(i)))
+        assert code == 0, err
+        files.append({p.name: p.read_bytes() for p in (tmp_path / str(i)).iterdir()})
+    assert files[0] == files[1] == files[2]
+
+
+def _grid_summary(capsys, tmp_path):
+    grid = tmp_path / "grid"
+    code, _, err = run_cli(
+        capsys, "threshold", "--n", "6", "--q", "8", "--m-grid", "6,10",
+        "--trials", "4", "--seed", "2", "--out-dir", str(grid),
+    )
+    assert code == 0, err
+    return str(grid / "summary.json")
+
+
+def test_report_takes_input_from_the_config(capsys, tmp_path):
+    summary = _grid_summary(capsys, tmp_path)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"input": summary}))
+    code, _, err = run_cli(capsys, "report", "--config", str(cfg), "--out-dir", str(tmp_path / "a"))
+    assert code == 0, err
+    assert (tmp_path / "a" / "results.csv").read_bytes() == (tmp_path / "grid" / "results.csv").read_bytes()
+    code, out, err = run_cli(capsys, "report", "--out-dir", str(tmp_path / "b"))
+    assert_one_error_line(code, out, err)
+    assert "--input" in err
+
+
+SMALL_RUNS = {
+    "family": ["--n", "6"],
+    "spread": ["--n", "5", "--smax", "2"],
+    "profile": ["--n", "5"],
+    "audit-prop1": ["--n", "8"],
+    "audit-prop2": ["--n", "9"],
+    "audit-chain": ["--n", "7"],
+    "moments": ["--n", "5", "--q", "6", "--trials", "200", "--seed", "3"],
+    "fragment": ["--n", "7", "--q", "9", "--C", "4", "--seed", "3"],
+    "threshold": ["--n", "6", "--q", "8", "--m-grid", "6,10", "--trials", "4", "--seed", "2"],
+    "search": ["--n", "7", "--m", "21", "--seed", "1"],
+    "report": [],
+}
+
+
+@pytest.mark.parametrize("name", sorted(build_parser()[1]))
+def test_config_of_every_default_changes_no_output(capsys, tmp_path, name):
+    sub = build_parser()[1][name]
+    defaults = {a.dest: a.default for a in sub._actions if a.dest not in ("help", "config")}
+    cfg = tmp_path / "defaults.json"
+    cfg.write_text(json.dumps(defaults))
+    argv = [name, *SMALL_RUNS[name]]
+    if name == "report":
+        argv += ["--input", _grid_summary(capsys, tmp_path)]
+    outputs = []
+    for i, extra in enumerate([[], ["--config", str(cfg)]]):
+        out_dir = tmp_path / f"out{i}"
+        code, out, err = run_cli(capsys, *argv, *extra, "--out-dir", str(out_dir))
+        assert code == 0, err
+        files = {p.name: p.read_bytes() for p in out_dir.iterdir()} if out_dir.exists() else {}
+        outputs.append((out, files))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] or outputs[0][1]
+
+
 def test_seed_fallback_is_announced(capsys):
     code, out, err = run_cli(capsys, "moments", "--n", "5", "--k", "1",
                              "--q", "6", "--trials", "50")

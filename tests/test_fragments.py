@@ -178,6 +178,27 @@ def test_min_fragment_validates_inputs():
 # ----------------------------------------------------------------------------
 # classification
 
+def test_classify_checks_w0_once_per_call(monkeypatch):
+    import rainbowlab.fragments as fragments
+
+    hstar = toy_hstar()
+    with pytest.raises(InputError):
+        classify_fragments(hstar, (0, 17), omega=1)
+    with pytest.raises(InputError):
+        classify_fragments(hstar, (0, -1), omega=1)
+    calls = []
+    mask_of = fragments._mask_of
+
+    def counting(*args):
+        calls.append(args)
+        return mask_of(*args)
+
+    monkeypatch.setattr(fragments, "_mask_of", counting)
+    out = classify_fragments(hstar, (2, 3), omega=2)
+    assert len(out.records) == 4
+    assert [tuple(w0) for w0, _ in calls] == [(2, 3)]
+
+
 def test_classify_counts_and_histogram():
     hstar = toy_hstar()
     out = classify_fragments(hstar, (2, 3), omega=2)

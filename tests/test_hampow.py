@@ -23,7 +23,6 @@ from rainbowlab.hampow import (
     _ExtensionCounter,
     _member_tallies,
     _prop2_rows,
-    _structure_report,
     audit_prop1,
     audit_prop2_reading_a,
     audit_prop2_reading_b,
@@ -386,16 +385,18 @@ def test_count_extensions_empty_subgraph_counts_everything():
 # component tallies (the two readings)
 
 def test_component_tally_reading_a_matches_brute_force():
-    order = next(canonical_orders(7))
-    member = power_edge_set(order, 1)
-    t_set = member[:3]
-    tally = component_tally(t_set, 3, reading="a")
-    want = {}
-    for size in range(1, 4):
-        for sub in combinations(t_set, size):
-            c = components_of(sub)[0].c
-            want[c] = want.get(c, 0) + 1
-    assert tally == want
+    for n, k in [(7, 1), (9, 2), (10, 3)]:
+        member = power_edge_set(next(canonical_orders(n)), k)
+        for t_set in (member[:3], member[-4:], member[::3][:4]):
+            t = len(t_set)
+            tally = component_tally(t_set, t, reading="a")
+            want = {}
+            for size in range(1, t + 1):
+                for sub in combinations(t_set, size):
+                    c = components_of(sub)[0].c
+                    want[c] = want.get(c, 0) + 1
+            assert tally == want, (n, k, t_set)
+            assert sum(tally.values()) == 2**t - 1
 
 
 def dihedral_class(sub, n):
@@ -489,19 +490,28 @@ def test_audit_prop2_reading_b_scales_to_n_100(n, cells):
 # ----------------------------------------------------------------------------
 # structure checks
 
-def test_structure_report_flags_dense_component():
+def structure_rows(monkeypatch, sub, k):
+    """audit_structure's rows for one subgraph, from the rows_of it hands _audit."""
+    import rainbowlab.hampow as hampow
+
+    monkeypatch.setattr(hampow, "_audit", lambda name, n, k, budget, rows_of: rows_of)
+    return audit_structure(3 * k + 4, k)(sub, 1)
+
+
+def test_structure_check_flags_dense_component(monkeypatch):
     # triangle at k=1: one component with e=3 > kv - (2k-1) = 2
     triangle = (pair_id(0, 1), pair_id(1, 2), pair_id(0, 2))
-    rep = _structure_report(triangle, 1)
-    assert not rep.ok
-    assert tuple(rep.per_component) == ((3, 3),)
+    (row,) = structure_rows(monkeypatch, triangle, 1)
+    assert not row.passed
+    assert (row.t, row.c, row.exact, row.bound) == (3, 1, 3, 2.0)
 
 
-def test_structure_report_bound_is_tight_for_paths():
+def test_structure_check_bound_is_tight_for_paths(monkeypatch):
     # a path with e edges spans e+1 vertices: e = kv - (2k-1) exactly at k=1
     path = tuple(pair_id(i, i + 1) for i in range(4))
-    rep = _structure_report(path, 1)
-    assert rep.ok
+    (row,) = structure_rows(monkeypatch, path, 1)
+    assert row.passed
+    assert (row.t, row.c, row.exact, row.bound) == (4, 1, 4, 4.0)
 
 
 # ----------------------------------------------------------------------------
@@ -667,6 +677,45 @@ def test_audit_row_rule_largest_exact_then_smallest_bound():
     rep = hampow._audit("rule", 7, 1, 10**6, rows_of)
     member = power_edge_set(tuple(range(7)), 1)
     assert rep.rows == (AuditRow(7, 1, 1, 1, 2, float(min(map(sum, combinations(member, 2)))), True),)
+
+
+def test_k1_walk_runs_components_of_per_class_only(monkeypatch):
+    # the walk keys subsets from endpoint masks; components_of runs in
+    # count(S) and in rows_of, once each per class: at (15, 1) the classes
+    # are the 18 partitions of t = 1..5 into path lengths
+    import rainbowlab.hampow as hampow
+
+    calls = []
+    comps = hampow.components_of
+
+    def counting(ids):
+        calls.append(ids)
+        return comps(ids)
+
+    monkeypatch.setattr(hampow, "components_of", counting)
+    audit_prop1(15, 1)
+    assert len(set(calls)) == 18
+    assert len(calls) == 2 * 18
+
+
+@pytest.mark.parametrize("n,k", [(18, 2), (27, 3)])
+def test_placement_budget_stops_the_walk(monkeypatch, n, k):
+    # three-component subgraphs pass the default budget; the walk must stop
+    # at the first class whose count does, not key every subset first
+    import rainbowlab.hampow as hampow
+
+    keyed = []
+    key = hampow._dihedral_key
+
+    def counting(*args):
+        keyed.append(1)
+        return key(*args)
+
+    monkeypatch.setattr(hampow, "_dihedral_key", counting)
+    with pytest.raises(BudgetError, match="placement search"):
+        audit_prop1(n, k)
+    walk = sum(math.comb(k * n, t) for t in range(1, n // (3 * k) + 1))
+    assert 0 < len(keyed) < walk
 
 
 def _random_member_subsets(n, k, sizes, draws, seed):
