@@ -187,8 +187,9 @@ def cmd_audit_chain(args) -> int:
     _need(args, "n")
     params = hampow.PowerParams(args.n, args.k)
     t_max = args.t_max if args.t_max is not None else params.t_max
-    if not 1 <= t_max <= params.t_max:
-        raise InputError(f"--t-max must lie in 1..{params.t_max} for n={args.n}, k={args.k}")
+    if args.t_max is not None and not 1 <= t_max <= params.t_max:
+        span = f"must lie in 1..{params.t_max}" if params.t_max else "has no range: n/3k < 1"
+        raise InputError(f"--t-max {span} for n={args.n}, k={args.k}")
     rows = []
     for t in range(1, t_max + 1):
         cb = hampow.f_chain_bound(args.n, args.k, t, budget=args.budget)

@@ -21,16 +21,17 @@ import struct
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain, combinations, groupby, permutations
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import BudgetError, InputError
 from .hypergraph import (
     DISTINCT_SETS,
+    LABELED_ORDERS,
     GroundSet,
     Hypergraph,
-    _mask,
+    _view,
+    intersection_profile,
     pair_id,
     pair_of,
 )
@@ -145,29 +146,16 @@ class PowerFamily:
     collisions: int
     _views: dict[str, Hypergraph] = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @cached_property
-    def order_masks(self) -> tuple[int, ...]:
-        """Each order's power as a bitmask, straight from order_sets.
-
-        f_chain_bound reads these rather than the labeled view's masks,
-        because building that view re-validates every edge: at n = 10 it
-        took 0.7 s (k = 1) and 1.0 s (k = 2) before its own masks, against
-        0.2 s and 0.4 s for these (Python 3.11 on a 2-vCPU virtual machine).
-        """
-        return tuple(_mask(e) for e in self.order_sets)
-
     def hypergraph(self, semantics: str = DISTINCT_SETS) -> Hypergraph:
         """The family as a hypergraph, marked transitive: relabelling [n]
         carries any order, hence any power, to any other, under both
-        semantics.  Built on the first call per semantics; later calls
-        return the same frozen object, and a bad semantics caches nothing."""
-        hg = self._views.get(semantics)
-        if hg is None:
+        semantics.  Its edges are edge_sets or order_sets itself, unchecked.
+        Built on the first call per semantics; later calls return the same
+        frozen object, and a bad semantics caches nothing."""
+        if semantics not in self._views:
             edges = self.edge_sets if semantics == DISTINCT_SETS else self.order_sets
-            hg = Hypergraph(self.params.ground(), edges, self.params.r, semantics)
-            object.__setattr__(hg, "transitive", True)
-            self._views[semantics] = hg
-        return hg
+            self._views[semantics] = _view(self.params.ground(), edges, self.params.r, semantics, transitive=True)
+        return self._views[semantics]
 
 
 # enumeration packs a*n + b into one byte, so n*n <= 256
@@ -466,7 +454,7 @@ def f_chain_bound(
     n: int,
     k: int,
     t: int,
-    budget: int | None = DEFAULT_ORDER_BUDGET,
+    budget: int = DEFAULT_ORDER_BUDGET,
 ) -> ChainBound:
     """Evaluate 2 * sum_c (16k^3 e)^t C(2t,c) (e/(n-1))^{d-c} ((n-d+c-1)/(n-1))^{n-d+c-1}
     with d = ceil((t+(2k-1)c)/k), summed over c = 1..t, in log space.
@@ -494,11 +482,9 @@ def f_chain_bound(
     value = 2 * total
 
     exact = None
-    if budget is not None and order_count(n) <= budget:
+    if order_count(n) <= budget:
         fam = enumerate_family(PowerParams(n, k), budget=budget)
-        base = fam.order_masks[0]
-        hits = sum(1 for m in fam.order_masks if (m & base).bit_count() == t)
-        exact = hits / len(fam.orders)
+        exact = intersection_profile(fam.hypergraph(LABELED_ORDERS), 0).counts[t] / len(fam.orders)
     return ChainBound(n=n, k=k, t=t, value=value, exact_ratio=exact)
 
 

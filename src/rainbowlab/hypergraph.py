@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import BudgetError, InputError
 
@@ -121,7 +121,7 @@ class Hypergraph:
     `transitive` marks a family whose automorphisms act transitively on its
     members, so every member has the same intersection profile and the pair
     scans need one row.  Only PowerFamily.hypergraph sets it; edges read
-    from text or passed to replace_edges are never marked.
+    from text and rainbow subfamilies are never marked.
     """
 
     ground: GroundSet
@@ -133,8 +133,7 @@ class Hypergraph:
     def __post_init__(self):
         if self.r < 1:
             raise InputError(f"uniformity must be >= 1, got {self.r}")
-        if self.semantics not in (DISTINCT_SETS, LABELED_ORDERS):
-            raise InputError(f"unknown semantics {self.semantics!r}")
+        _check_semantics(self.semantics)
         norm = tuple(_normalize_edge(e, self.r, self.ground) for e in self.edges)
         object.__setattr__(self, "edges", norm)
         if self.semantics == DISTINCT_SETS and len(set(norm)) != len(norm):
@@ -148,8 +147,20 @@ class Hypergraph:
         """Each edge as a bitmask over element ids (internal fast path)."""
         return tuple(map(_mask, self.edges))
 
-    def replace_edges(self, edges: Sequence[tuple[int, ...]]) -> "Hypergraph":
-        return Hypergraph(self.ground, tuple(edges), self.r, self.semantics)
+
+def _check_semantics(semantics: str) -> None:
+    if semantics not in (DISTINCT_SETS, LABELED_ORDERS):
+        raise InputError(f"unknown semantics {semantics!r}")
+
+
+def _view(ground, edges, r, semantics, transitive=False) -> Hypergraph:
+    """A Hypergraph sharing the edges tuple, unchecked but for the semantics:
+    the caller guarantees sorted r-tuples of ids inside the ground set, and
+    no repeated edge under distinct-sets."""
+    _check_semantics(semantics)
+    hg = object.__new__(Hypergraph)
+    vars(hg).update(ground=ground, edges=edges, r=r, semantics=semantics, transitive=transitive)
+    return hg
 
 
 def _mask(ids: Iterable[int]) -> int:

@@ -10,8 +10,8 @@ forms driven by the family's intersection profile:
              (q)_t ((q-t)_{r-t})^2 / q^{2r-t}
 
 with (a)_b the falling factorial.  Moments are kept as exact rationals while
-the denominators stay below a configurable bit bound, then fall back to
-log-space floats (flagged on the result).
+the denominators stay below a fixed bit bound, then fall back to log-space
+floats (flagged on the result).
 """
 
 from __future__ import annotations
@@ -19,9 +19,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .errors import BudgetError, InputError
-from .hypergraph import Hypergraph, _check_pair_budget, alpha_cut, intersection_profile
+from .hypergraph import Hypergraph, _check_pair_budget, _view, alpha_cut, intersection_profile
 from .seeding import make_rng
 
 __all__ = [
@@ -81,19 +82,31 @@ def random_coloring(size: int, q: int, rng) -> Coloring:
     return Coloring(tuple(rng.randrange(q) for _ in range(size)), q)
 
 
+def _rainbow(edges, cols) -> Iterator[tuple[int, ...]]:
+    """The edges whose colors in cols are pairwise distinct (a plain loop that
+    stops at the first repeat beats a set comprehension)."""
+    for e in edges:
+        seen = set()
+        for x in e:
+            if cols[x] in seen:
+                break
+            seen.add(cols[x])
+        else:
+            yield e
+
+
 def rainbow_subfamily(hg: Hypergraph, coloring: Coloring) -> Hypergraph:
     """Members whose elements carry pairwise distinct colors.
 
     Semantics and ground set carry over; under labeled-orders semantics the
-    result keeps duplicate members (it stays a multiset).
+    result keeps duplicate members (it stays a multiset).  The kept members
+    are hg's own, so they are not checked again.
     """
     if len(coloring) != hg.ground.size:
         raise InputError(
             f"coloring covers {len(coloring)} elements, ground set has {hg.ground.size}"
         )
-    cols = coloring.colors
-    kept = tuple(e for e in hg.edges if len({cols[x] for x in e}) == hg.r)
-    return hg.replace_edges(kept)
+    return _view(hg.ground, tuple(_rainbow(hg.edges, coloring.colors)), hg.r, hg.semantics)
 
 
 def expected_rainbow_count(family_size: int, q: int, r: int) -> Fraction:
@@ -151,12 +164,11 @@ def _pair_intersection_tally(hg: Hypergraph, pair_budget: int) -> list[int]:
     return n_t
 
 
-def exact_second_moment(
-    hg: Hypergraph,
-    q: int,
-    pair_budget: int = 4_000_000,
-    max_denominator_bits: int = 1 << 16,
-) -> RainbowStats:
+# the exact path runs while (2r) * bitlen(q) stays within this many bits
+_MAX_DENOMINATOR_BITS = 1 << 16
+
+
+def exact_second_moment(hg: Hypergraph, q: int, pair_budget: int = 4_000_000) -> RainbowStats:
     """Exact E(Z) and E(Z^2) from the pairwise intersection tally."""
     if q < 1:
         raise InputError(f"palette size q must be >= 1, got {q}")
@@ -166,7 +178,7 @@ def exact_second_moment(
     n_t = _pair_intersection_tally(hg, pair_budget)
     e_z = expected_rainbow_count(len(hg.edges), q, r)
 
-    exact = (2 * r) * q.bit_length() <= max_denominator_bits
+    exact = (2 * r) * q.bit_length() <= _MAX_DENOMINATOR_BITS
     if exact:
         e_z2 = Fraction(0)
         for t, cnt in enumerate(n_t):
@@ -285,21 +297,10 @@ def empirical_moments(
         raise InputError(f"need at least one trial, got {trials}")
     if q < 1:
         raise InputError(f"palette size q must be >= 1, got {q}")
-    size = hg.ground.size
-    edges = hg.edges
-    r = hg.r
-
     s1 = s2 = s4 = 0
     for i in range(trials):
         rng = make_rng(seed, _STREAM_COLORS, i)
-        cols = [rng.randrange(q) for _ in range(size)]
-        z = 0
-        for e in edges:
-            seen = set()
-            for x in e:
-                seen.add(cols[x])
-            if len(seen) == r:
-                z += 1
+        z = len(tuple(_rainbow(hg.edges, [rng.randrange(q) for _ in range(hg.ground.size)])))
         s1 += z
         s2 += z * z
         s4 += (z * z) ** 2
@@ -321,9 +322,9 @@ def empirical_moments(
         e_z = e_z2 = None
 
     return MomentReport(
-        family_size=len(edges),
+        family_size=len(hg.edges),
         q=q,
-        r=r,
+        r=hg.r,
         trials=trials,
         seed=seed,
         mc_mean=mean,

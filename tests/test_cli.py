@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, config merging, output bytes."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -260,6 +261,41 @@ def test_json_output_parses_strictly(capsys, argv, want):
     else:
         assert code == 0, err
         assert isinstance(data, dict)
+
+
+# stdout of small runs of the commands that read a power family's views,
+# rainbow subfamilies or Monte Carlo colorings, pinned byte for byte
+CLI_DIGESTS = {
+    "profile --n 7 --k 1": "8f071fa3b9d1462237a8f3c903b4917dbb4846102720fc1bd241160bbec9dbd5",
+    "profile --n 7 --k 2 --semantics labeled-orders": "c28b0dbd70e103baf1844e5086cb0162602efd6bb03fc92b8d989d0346c6b5a2",
+    "moments --n 7 --k 2 --semantics labeled-orders --trials 0": "9e9244f14e0c02dae88a3c558221302d1b354f46f91f72a9d6d96dd3b45316bd",
+    "moments --n 6 --k 1 --q 7 --trials 3000 --seed 3": "79b0486ee49c596a89d8283ec4b4ed1bf99f58404e3b2b1b9a0fa41b31e7ed6f",
+    "audit-chain --n 9 --k 1": "baa5617884aba665c844d5877a31ca9076dc77fbc16ec82f5cee97be9f0ff594",
+    "audit-chain --n 8 --k 2": "001cd4e2c0ca978d917f5dbc17f7b147e7271020a9bf68a1ccee48005837bfa1",
+    "spread --n 7 --k 2 --smax 2": "2d06a61a542d4e66fac07adcfd72f2ce3e3beee939309b76261a5b9276e46a3a",
+    "fragment --n 7 --k 1 --mode staged": "abf7bfacc267c802f6049e4b2218e4b0e56801e7f3001f4493f6f8152cd1860a",
+    "fragment --n 7 --k 1 --sweep 1,2,3 --sweep-trials 50": "6fa4a0b65927ff30eba36893590d8e6aae23fe83c7ae2d5094474132b9f4e3e9",
+}
+
+
+@pytest.mark.parametrize("command", CLI_DIGESTS)
+def test_cli_stdout_digests(capsys, command):
+    code, out, err = run_cli(capsys, *command.split())
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == CLI_DIGESTS[command]
+
+
+def test_audit_chain_below_one_subgraph_size_is_empty(capsys):
+    # n/3k < 1 admits no t; like audit-prop1, the default range is empty
+    code, out, err = run_cli(capsys, "audit-chain", "--n", "8", "--k", "3")
+    assert code == 0, err
+    assert strict_json(out) == {"k": 3, "n": 8, "rows": []}
+
+
+def test_audit_chain_t_max_below_one_subgraph_size_names_the_ratio(capsys):
+    code, out, err = run_cli(capsys, "audit-chain", "--n", "8", "--k", "3", "--t-max", "1")
+    assert_one_error_line(code, out, err)
+    assert "n/3k < 1" in err and "1..0" not in err
 
 
 def test_search_budget_exhaustion_exits_3(capsys):

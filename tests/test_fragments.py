@@ -87,14 +87,14 @@ def test_config_family_builds_its_hypergraph_once(monkeypatch):
     import rainbowlab.hampow as hampow
 
     built = []
-    hypergraph = hampow.Hypergraph
+    view = hampow._view
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         built.append(args)
-        return hypergraph(*args)
+        return view(*args, **kwargs)
 
     monkeypatch.setattr(hampow, "_family_cache", {})
-    monkeypatch.setattr(hampow, "Hypergraph", counting)
+    monkeypatch.setattr(hampow, "_view", counting)
     views = [staged_config(seed=s, omega=1 + s % 3).family() for s in range(180)]
     assert len(built) == 1
     assert all(hg is views[0] for hg in views)

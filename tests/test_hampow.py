@@ -40,6 +40,7 @@ from rainbowlab.hampow import (
 from rainbowlab.hypergraph import (
     DISTINCT_SETS,
     LABELED_ORDERS,
+    GroundSet,
     count_superedges,
     format_hypergraph_text,
     pair_id,
@@ -174,11 +175,30 @@ def test_hypergraph_views():
     assert len(fam.hypergraph(LABELED_ORDERS).edges) == 60
     want = [power_edge_set(o, 2) for o in fam.orders]
     assert list(fam.hypergraph(LABELED_ORDERS).edges) == want
-    assert list(fam.order_masks) == [sum(1 << x for x in e) for e in want]
+    assert list(fam.hypergraph(LABELED_ORDERS).masks) == [sum(1 << x for x in e) for e in want]
     for semantics in (DISTINCT_SETS, LABELED_ORDERS):  # each view is built once
         hg = fam.hypergraph(semantics)
         assert fam.hypergraph(semantics) is hg
         assert hg.transitive and hg.semantics == semantics
+
+
+def test_views_share_the_family_tuples_unchecked(monkeypatch):
+    # enumeration built and checked the powers, so a view takes them as they are
+    import rainbowlab.hampow as hampow
+
+    checked = []
+    check_element = GroundSet.check_element
+
+    def counting(self, x):
+        checked.append(x)
+        return check_element(self, x)
+
+    monkeypatch.setattr(hampow, "_family_cache", {})
+    fam = enumerate_family(PowerParams(7, 2))
+    monkeypatch.setattr(GroundSet, "check_element", counting)
+    assert fam.hypergraph(DISTINCT_SETS).edges is fam.edge_sets
+    assert fam.hypergraph(LABELED_ORDERS).edges is fam.order_sets
+    assert checked == []
 
 
 def test_hypergraph_rejects_unknown_semantics():
@@ -207,8 +227,7 @@ def test_each_order_power_is_computed_once(monkeypatch):
     monkeypatch.setattr(hampow, "_batch_powers", counting)
     monkeypatch.setattr(hampow, "_power_of", per_order)
     fam = enumerate_family(PowerParams(7, 1))
-    fam.hypergraph(LABELED_ORDERS)
-    fam.order_masks
+    fam.hypergraph(LABELED_ORDERS).masks
     assert enumerate_family(PowerParams(7, 1)) is fam
     assert calls == [(7, 1)]
     assert len(fam.orders) == 360
@@ -531,7 +550,7 @@ def test_f_chain_bound_recomputed_directly():
             if m_ > 0:
                 term *= (m_ / (n - 1)) ** m_
             want += term
-        got = f_chain_bound(n, k, t, budget=None)
+        got = f_chain_bound(n, k, t, budget=0)
         assert got.value == pytest.approx(2 * want)
         assert got.exact_ratio is None
 

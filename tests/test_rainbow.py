@@ -13,6 +13,7 @@ from itertools import product
 
 import pytest
 
+import rainbowlab.rainbow as rainbow
 from rainbowlab.errors import BudgetError, InputError
 from rainbowlab.hampow import PowerParams, enumerate_family
 from rainbowlab.hypergraph import (
@@ -173,18 +174,20 @@ def test_pair_budget_is_enforced():
         exact_second_moment(cycle_family(5), 6, pair_budget=10)
 
 
-def test_large_palette_falls_back_to_float_path():
+def test_large_palette_falls_back_to_float_path(monkeypatch):
     hg = tiny_family()
     exact = exact_second_moment(hg, 7)
-    approx = exact_second_moment(hg, 7, max_denominator_bits=4)
+    monkeypatch.setattr(rainbow, "_MAX_DENOMINATOR_BITS", 4)
+    approx = exact_second_moment(hg, 7)
     assert not approx.exact
     assert float(approx.e_z2) == pytest.approx(float(exact.e_z2), rel=1e-9)
 
 
-def test_float_path_writes_no_exact_second_moment():
+def test_float_path_writes_no_exact_second_moment(monkeypatch):
     hg = tiny_family()
     exact = exact_second_moment(hg, 7).to_json()
-    approx = exact_second_moment(hg, 7, max_denominator_bits=4).to_json()
+    monkeypatch.setattr(rainbow, "_MAX_DENOMINATOR_BITS", 4)
+    approx = exact_second_moment(hg, 7).to_json()
     assert exact["exact"] is True
     assert exact["E_Z2_exact"] is not None
     assert approx["exact"] is False
@@ -233,7 +236,7 @@ TRANSITIVE_SIZES = [(n, 1) for n in range(4, 9)] + [(6, 2), (7, 2), (8, 2), (8, 
 @pytest.mark.parametrize("n,k", TRANSITIVE_SIZES)
 def test_one_row_matches_the_pair_scan(n, k, semantics):
     marked = enumerate_family(PowerParams(n, k)).hypergraph(semantics)
-    plain = marked.replace_edges(marked.edges)
+    plain = Hypergraph(marked.ground, marked.edges, marked.r, marked.semantics)
     assert marked.transitive and not plain.transitive
     budget = len(plain) ** 2
     q = k * n + 2
@@ -251,7 +254,9 @@ def test_one_row_budget_counts_the_pairs_intersected():
     with pytest.raises(BudgetError, match="needs 60 pair"):
         exact_second_moment(marked, 8, pair_budget=59)
     with pytest.raises(BudgetError, match="needs 3600 pair"):
-        exact_second_moment(marked.replace_edges(marked.edges), 8, pair_budget=3599)
+        exact_second_moment(
+            Hypergraph(marked.ground, marked.edges, marked.r, marked.semantics), 8, pair_budget=3599
+        )
 
 
 def test_subfamilies_and_text_input_are_not_marked():
@@ -259,6 +264,33 @@ def test_subfamilies_and_text_input_are_not_marked():
     coloring = random_coloring(marked.ground.size, 13, make_rng(5))
     assert not rainbow_subfamily(marked, coloring).transitive
     assert not read_hypergraph_text(format_hypergraph_text(marked), LABELED_ORDERS).transitive
+
+
+@pytest.mark.parametrize("semantics", [DISTINCT_SETS, LABELED_ORDERS])
+@pytest.mark.parametrize("n,k", TRANSITIVE_SIZES)
+def test_view_equals_the_checked_hypergraph(n, k, semantics):
+    view = enumerate_family(PowerParams(n, k)).hypergraph(semantics)
+    assert view == Hypergraph(view.ground, view.edges, view.r, semantics)
+
+
+@pytest.mark.parametrize("semantics", [DISTINCT_SETS, LABELED_ORDERS])
+@pytest.mark.parametrize("n,k,q", [(7, 1, 14), (6, 2, 60)])
+def test_rainbow_subfamily_matches_the_checked_filter(n, k, q, semantics):
+    fam = enumerate_family(PowerParams(n, k))
+    hg = fam.hypergraph(semantics)
+    sizes, repeated = set(), False
+    for seed in range(20):
+        coloring = random_coloring(hg.ground.size, q, make_rng(seed))
+        cols = coloring.colors
+        kept = tuple(e for e in hg.edges if len({cols[x] for x in e}) == hg.r)
+        got = rainbow_subfamily(hg, coloring)
+        assert got == Hypergraph(hg.ground, kept, hg.r, semantics)
+        assert not got.transitive
+        sizes.add(len(got))
+        repeated |= len(set(got.edges)) < len(got)
+    assert len(sizes) > 2  # the colorings keep varied subfamilies
+    # labeled orders keep every copy of a power that several orders share
+    assert repeated == (semantics == LABELED_ORDERS and fam.collisions > 0)
 
 
 # ----------------------------------------------------------------------------
