@@ -21,6 +21,7 @@ from .errors import BudgetError, InputError
 from .hypergraph import (
     DISTINCT_SETS,
     LABELED_ORDERS,
+    intersection_profile,
     read_hypergraph_text,
     required_k0,
     spread_up_to,
@@ -56,6 +57,13 @@ def _need(args, dest: str) -> None:
         raise InputError(f"--{dest} is required (as a flag or a config key)")
 
 
+def _refuse(args, mode: str, *dests: str) -> None:
+    """Refuse a flag that the mode chosen by the flag `mode` would ignore."""
+    for dest in dests:
+        if getattr(args, dest) is not None:
+            raise InputError(f"--{dest} does not apply with {mode}")
+
+
 def _emit(payload: dict, args, filename: str) -> None:
     """Primary JSON to stdout; a copy under --out-dir when one is given."""
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -83,6 +91,7 @@ def _read_text(path: Path) -> str:
 def _load_hypergraph(args):
     """Either an explicit file or the (n, k) power family, as chosen by flags."""
     if getattr(args, "input", None):
+        _refuse(args, "--input", "n")
         return read_hypergraph_text(_read_text(Path(args.input)), semantics=args.semantics)
     if args.n is None:
         raise InputError("give either --input FILE or --n (with --k)")
@@ -190,10 +199,19 @@ def cmd_audit_chain(args) -> int:
     if args.t_max is not None and not 1 <= t_max <= params.t_max:
         span = f"must lie in 1..{params.t_max}" if params.t_max else "has no range: n/3k < 1"
         raise InputError(f"--t-max {span} for n={args.n}, k={args.k}")
-    rows = []
-    for t in range(1, t_max + 1):
-        cb = hampow.f_chain_bound(args.n, args.k, t, budget=args.budget)
-        rows.append({"t": t, "bound": cb.value, "exact_ratio": cb.exact_ratio})
+    if args.budget < 0:
+        raise InputError(f"enumeration budget must be >= 0, got {args.budget}")
+    # every exact ratio f_t / |H| is one entry of the same labeled-orders
+    # profile row, taken once when the family fits the budget
+    ratios = [None] * (t_max + 1)
+    if t_max >= 1 and hampow.order_count(args.n) <= args.budget:
+        fam = _family(args)
+        counts = intersection_profile(fam.hypergraph(LABELED_ORDERS), 0).counts
+        ratios = [f / len(fam.orders) for f in counts]
+    rows = [
+        {"t": t, "bound": hampow.f_chain_bound(args.n, args.k, t), "exact_ratio": ratios[t]}
+        for t in range(1, t_max + 1)
+    ]
     _emit({"n": args.n, "k": args.k, "rows": rows}, args, f"audit_chain_n{args.n}_k{args.k}.json")
     return 0
 
@@ -240,6 +258,7 @@ def cmd_fragment(args) -> int:
         _emit(record.to_json(), args, f"fragment_n{args.n}_k{args.k}.json")
         return 0
 
+    _refuse(args, "--sweep", "omega")
     omegas = sorted(set(args.sweep))
     if any(w < 1 for w in omegas):
         raise InputError("--sweep values must be >= 1")
@@ -300,6 +319,7 @@ def cmd_threshold(args) -> int:
 
 def cmd_search(args) -> int:
     if args.input:
+        _refuse(args, "--input", "n", "m", "q", "seed")
         inst = threshold.read_instance_text(_read_text(Path(args.input)))
     else:
         if args.n is None or args.m is None:

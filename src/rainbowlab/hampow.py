@@ -25,16 +25,7 @@ from itertools import chain, combinations, groupby, permutations
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import BudgetError, InputError
-from .hypergraph import (
-    DISTINCT_SETS,
-    LABELED_ORDERS,
-    GroundSet,
-    Hypergraph,
-    _view,
-    intersection_profile,
-    pair_id,
-    pair_of,
-)
+from .hypergraph import DISTINCT_SETS, GroundSet, Hypergraph, _view, pair_id, pair_of
 
 DEFAULT_ORDER_BUDGET = 1_000_000
 
@@ -42,15 +33,12 @@ __all__ = [
     "DEFAULT_ORDER_BUDGET",
     "PowerParams",
     "PowerFamily",
-    "SubgraphStats",
-    "ChainBound",
     "AuditRow",
     "AuditReport",
     "order_count",
     "canonical_orders",
     "power_edge_set",
     "enumerate_family",
-    "components_of",
     "prop1_bound",
     "prop2_bound",
     "component_tally",
@@ -206,6 +194,8 @@ def enumerate_family(params: PowerParams, budget: int = DEFAULT_ORDER_BUDGET) ->
     kernel, before any work happens.
     """
     n, k = params.n, params.k
+    if budget < 0:
+        raise InputError(f"enumeration budget must be >= 0, got {budget}")
     if n > _MAX_ENUMERATION_N:
         raise BudgetError(
             f"family ({n}, {k}): enumeration handles n <= {_MAX_ENUMERATION_N} only "
@@ -247,15 +237,6 @@ def enumerate_family(params: PowerParams, budget: int = DEFAULT_ORDER_BUDGET) ->
 # ----------------------------------------------------------------------------
 # subgraph structure
 
-@dataclass(frozen=True)
-class SubgraphStats:
-    """Edge count, component count (isolated vertices ignored), vertex support."""
-
-    t: int
-    c: int
-    v: int
-
-
 def _merge(ends: Iterable[int]) -> list[int]:
     """One vertex bitmask per component of the graph whose edges have the
     given endpoint masks (1 << u) | (1 << v): each edge absorbs every
@@ -281,17 +262,6 @@ def _ends(edge_ids: Iterable[int]) -> list[int]:
 def _shape(ends: Sequence[int]) -> list[tuple[int, int]]:
     """The sorted (edges, vertices) of each component of _merge(ends)."""
     return sorted((sum(1 for m in ends if m & x), x.bit_count()) for x in _merge(ends))
-
-
-def components_of(edge_ids: Iterable[int]) -> tuple[SubgraphStats, list[tuple[int, int]]]:
-    """Component stats of the graph formed by the given K_n edge slots.
-
-    Returns the overall stats and a per-component list of (edges, vertices).
-    """
-    ends = _ends(set(edge_ids))
-    per_comp = _shape(ends)
-    stats = SubgraphStats(t=len(ends), c=len(per_comp), v=sum(v for _, v in per_comp))
-    return stats, per_comp
 
 
 # ----------------------------------------------------------------------------
@@ -438,32 +408,13 @@ def _member_tallies(n: int, k: int, t_max: int) -> list[dict[int, int]]:
     ]
 
 
-@dataclass(frozen=True)
-class ChainBound:
-    """Closed-form chain value for the intersection ratio f_t / |H|, with the
-    exact labeled-orders ratio alongside when enumeration is affordable."""
-
-    n: int
-    k: int
-    t: int
-    value: float
-    exact_ratio: float | None
-
-
-def f_chain_bound(
-    n: int,
-    k: int,
-    t: int,
-    budget: int = DEFAULT_ORDER_BUDGET,
-) -> ChainBound:
+def f_chain_bound(n: int, k: int, t: int) -> float:
     """Evaluate 2 * sum_c (16k^3 e)^t C(2t,c) (e/(n-1))^{d-c} ((n-d+c-1)/(n-1))^{n-d+c-1}
     with d = ceil((t+(2k-1)c)/k), summed over c = 1..t, in log space.
 
-    This is the closed-form bound on the share of members meeting a fixed
-    member in exactly t elements.  When the family fits in the order budget
-    the exact share is computed from labeled-order enumeration for comparison
-    (the bound can be off by a large factor at small t; both numbers are
-    reported and interpretation is left to the caller).
+    This is the closed-form bound on the share f_t / |H| of members meeting a
+    fixed member in exactly t elements.  It can be off from the exact share
+    by a large factor at small t.
     """
     PowerParams(n, k)
     _check_t_range(n, k, t)
@@ -479,13 +430,7 @@ def f_chain_bound(
         if m_ > 0:
             log_term += m_ * math.log(m_ / (n - 1))
         total += math.exp(log_term)
-    value = 2 * total
-
-    exact = None
-    if order_count(n) <= budget:
-        fam = enumerate_family(PowerParams(n, k), budget=budget)
-        exact = intersection_profile(fam.hypergraph(LABELED_ORDERS), 0).counts[t] / len(fam.orders)
-    return ChainBound(n=n, k=k, t=t, value=value, exact_ratio=exact)
+    return 2 * total
 
 
 # ----------------------------------------------------------------------------
@@ -560,8 +505,9 @@ def _dihedral_key(pairs: Sequence[tuple[int, int]], n: int, pid: list[list[int |
 
 
 class _ExtensionCounter:
-    """count(S): the canonical orders of [n] whose k-th power contains S, for
-    a subgraph S of the identity power, by placement counting.
+    """count(S, shape): the canonical orders of [n] whose k-th power contains
+    S, for a subgraph S of the identity power with the given component shape
+    (_shape), by placement counting.
 
     An order puts S in its power iff it puts every edge of S at cyclic
     distance <= k.  Of the n! bijections [n] -> Z_n, those that do are the
@@ -585,13 +531,12 @@ class _ExtensionCounter:
             sum(1 << (p + d) % n for d in range(-k, k + 1) if d) for p in range(n)
         ]
 
-    def __call__(self, sub: tuple[int, ...]) -> int:
+    def __call__(self, sub: tuple[int, ...], shape: Sequence[tuple[int, int]]) -> int:
         n = self.n
-        stats, _ = components_of(sub)
         if self.k == 1:
-            return math.factorial(n - stats.t - 1) << (stats.c - 1)
+            return math.factorial(n - len(sub) - 1) << (len(shape) - 1)
         pinned = self._pinned_placements([pair_of(e) for e in sub])
-        return pinned * math.factorial(n - stats.v) // 2
+        return pinned * math.factorial(n - sum(v for _, v in shape)) // 2
 
     def _pinned_placements(self, pairs: list[tuple[int, int]]) -> int:
         """Placements of the edges' vertices with the least of them at 0."""
@@ -641,24 +586,27 @@ def _audit(
     n: int,
     k: int,
     budget: int,
-    rows_of: Callable[[tuple[int, ...], int], Iterable[AuditRow]],
+    rows_of: Callable[[tuple[int, ...], list[tuple[int, int]], int], Iterable[AuditRow]],
 ) -> AuditReport:
     """Shared skeleton of the subgraph audits, walking the subsets of one member.
 
     Every member is the image of the identity power M = C_n^k under a
     relabelling of [n], which keeps a subgraph's extension count and its
     rows.  So the subsets S of M with 1 <= |S| <= floor(n/3k) stand for every
-    subgraph of every member: rows_of(S, count(S)) gives S's rows, where
-    count(S), the canonical orders whose power contains S, comes from
-    placement counting (_ExtensionCounter), with no order enumerated.
+    subgraph of every member: rows_of(S, shape, count) gives S's rows, where
+    shape is the sorted (edges, vertices) of S's components and count, the
+    canonical orders whose power contains S, comes from placement counting
+    (_ExtensionCounter), with no order enumerated.
 
     The walk groups the subsets into classes by a key that the
-    automorphisms of M keep: at k = 1 the sorted (edges, vertices) of S's
-    components, which are paths, so the key is S's isomorphism class; at
-    k >= 2 the dihedral key, S's class under rotation and reflection of Z_n.
-    count(S) runs when the walk first meets a class, so a placement search
-    past the budget stops the walk there, and rows_of(S, ...) runs once per
-    class on that first subset, so it may depend on S only through its class.
+    automorphisms of M keep: at k = 1 the sorted vertex counts of S's
+    components, which are paths as t <= n/3 < n, each with one edge fewer
+    than its vertices, so the key fixes S's shape and is its isomorphism
+    class; at k >= 2 the dihedral key, S's class under rotation and
+    reflection of Z_n.  When the walk first meets a class it records the subset, its shape (read
+    off the key at k = 1, one _shape at k >= 2) and its count, so a placement
+    search past the budget stops the walk there.  rows_of runs once per class
+    on that record, so it may depend on S only through its class.
 
     `checked` is the number of distinct subgraphs of members, an orbit sum:
     each such T lies in count(T) of the N = (n-1)!/2 order powers, and each
@@ -672,6 +620,8 @@ def _audit(
     `budget` caps the work: subsets walked plus placement-search nodes.
     """
     params = PowerParams(n, k)
+    if budget < 0:
+        raise InputError(f"work budget must be >= 0, got {budget}")
     pid, links = _power_table(n, k)
     member = _power_of(range(n), pid, links)
     sizes = range(1, params.t_max + 1)
@@ -684,24 +634,29 @@ def _audit(
     # each subset's endpoint masks (k = 1) or vertex pairs (k >= 2), walked
     # in step with its pair ids
     marks = _ends(member) if k == 1 else [pair_of(e) for e in member]
-    # class key -> [first subset in walk order, its count, subsets in the class]
+    # class key -> [first subset in walk order, its shape, its count, subsets
+    # in the class]
     classes: dict[tuple, list] = {}
     for t in sizes:
         for sub, part in zip(combinations(member, t), combinations(marks, t)):
-            key = tuple(_shape(part)) if k == 1 else _dihedral_key(part, n, pid)
+            if k == 1:
+                key = tuple(sorted(map(int.bit_count, _merge(part))))
+            else:
+                key = _dihedral_key(part, n, pid)
             cls = classes.get(key)
             if cls is None:
-                classes[key] = [sub, count(sub), 1]
+                shape = [(v - 1, v) for v in key] if k == 1 else _shape(_ends(sub))
+                classes[key] = [sub, shape, count(sub, shape), 1]
             else:
-                cls[2] += 1
+                cls[3] += 1
     total = order_count(n)
     worst: dict[tuple[int, int], AuditRow] = {}
     failing: dict[AuditRow, Fraction] = {}
     checked = Fraction(0)
-    for sub, cnt, size in classes.values():
+    for sub, shape, cnt, size in classes.values():
         times = Fraction(total * size, cnt)
         checked += times
-        for row in rows_of(sub, cnt):
+        for row in rows_of(sub, shape, cnt):
             if not row.passed:
                 failing[row] = failing.get(row, 0) + times
             prev = worst.get((row.t, row.c))
@@ -728,14 +683,14 @@ def audit_prop1(n: int, k: int, budget: int = DEFAULT_ORDER_BUDGET) -> AuditRepo
     of members need exact counting.
     """
 
-    def rows_of(sub, cnt):
-        stats, _ = components_of(sub)
-        log_bound = prop1_bound(n, k, stats.t, stats.c)
+    def rows_of(sub, shape, cnt):
+        t, c = len(sub), len(shape)
+        log_bound = prop1_bound(n, k, t, c)
         try:
             bound = math.exp(log_bound)
         except OverflowError:
             bound = math.inf
-        return [_bound_row(n, k, stats.t, stats.c, cnt, bound, log_bound)]
+        return [_bound_row(n, k, t, c, cnt, bound, log_bound)]
 
     return _audit("prop1", n, k, budget, rows_of)
 
@@ -744,13 +699,13 @@ def audit_structure(n: int, k: int, budget: int = DEFAULT_ORDER_BUDGET) -> Audit
     """Exhaustive edge/vertex balance check over all subgraphs of all members:
     each component with e edges and v vertices must have e <= k*v - (2k-1)."""
 
-    def rows_of(sub, _cnt):
-        stats, per_comp = components_of(sub)
+    def rows_of(sub, shape, _cnt):
+        t, c = len(sub), len(shape)
         # "exact" records the subgraph size, "bound" the balance ceiling,
         # the sum of the per-component ceilings k*v - (2k-1)
-        bound = float(k * stats.v - (2 * k - 1) * stats.c)
-        ok = all(e <= k * v - (2 * k - 1) for e, v in per_comp)
-        return [AuditRow(n, k, stats.t, stats.c, stats.t, bound, ok)]
+        bound = float(k * sum(v for _, v in shape) - (2 * k - 1) * c)
+        ok = all(e <= k * v - (2 * k - 1) for e, v in shape)
+        return [AuditRow(n, k, t, c, t, bound, ok)]
 
     return _audit("structure", n, k, budget, rows_of)
 
@@ -759,7 +714,7 @@ def audit_prop2_reading_a(n: int, k: int, budget: int = DEFAULT_ORDER_BUDGET) ->
     """Reading (a): for each subgraph T of a member, every tally of T's own
     edge-subsets by component count must sit under the bound at t = |T|."""
 
-    def rows_of(sub, _cnt):
+    def rows_of(sub, *_):
         return _prop2_rows(n, k, len(sub), component_tally(sub, len(sub), "a"))
 
     return _audit("prop2a", n, k, budget, rows_of)

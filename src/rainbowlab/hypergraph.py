@@ -289,6 +289,8 @@ def intersection_profile(hg: Hypergraph, base_index: int) -> IntersectionProfile
 
 def _check_pair_budget(hg: Hypergraph, pair_budget: int, what: str) -> None:
     """A transitive family scans one row of |H| pairs, any other all |H|^2."""
+    if pair_budget < 0:
+        raise InputError(f"pair budget must be >= 0, got {pair_budget}")
     big_m = len(hg.edges)
     pairs = big_m if hg.transitive else big_m * big_m
     if pairs > pair_budget:

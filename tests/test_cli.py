@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -233,6 +234,69 @@ def test_search_names_a_power_below_one(capsys):
     assert "power k must be >= 1, got 0" in err
 
 
+# a negative budget is bad input, not an exhausted budget; 0 keeps its meaning
+NEGATIVE_BUDGETS = [
+    (["family", "--n", "7", "--budget", "-1"], "enumeration budget"),
+    (["spread", "--n", "7", "--budget", "-1"], "enumeration budget"),
+    (["fragment", "--n", "7", "--seed", "3", "--budget", "-1"], "enumeration budget"),
+    (["audit-prop1", "--n", "8", "--budget", "-1"], "work budget"),
+    (["audit-prop2", "--n", "8", "--budget", "-1"], "work budget"),
+    (["audit-chain", "--n", "9", "--budget", "-1"], "enumeration budget"),
+    (["profile", "--n", "7", "--pair-budget", "-1"], "pair budget"),
+    (["moments", "--n", "7", "--trials", "0", "--pair-budget", "-1"], "pair budget"),
+]
+
+
+@pytest.mark.parametrize("argv,what", NEGATIVE_BUDGETS, ids=[" ".join(argv) for argv, _ in NEGATIVE_BUDGETS])
+def test_negative_budget_is_input_error(capsys, argv, what):
+    code, out, err = run_cli(capsys, *argv)
+    assert_one_error_line(code, out, err)
+    assert f"{what} must be >= 0, got -1" in err
+
+
+@pytest.fixture
+def family_file(tmp_path):
+    from rainbowlab.hampow import PowerParams, enumerate_family
+    from rainbowlab.hypergraph import format_hypergraph_text
+
+    path = tmp_path / "family.txt"
+    path.write_text(format_hypergraph_text(enumerate_family(PowerParams(6, 1)).hypergraph()))
+    return str(path)
+
+
+def test_spread_refuses_n_beside_input(capsys, family_file):
+    code, out, err = run_cli(capsys, "spread", "--input", family_file, "--n", "7")
+    assert_one_error_line(code, out, err)
+    assert "--n does not apply with --input" in err
+
+
+def test_profile_refuses_n_beside_input(capsys, family_file):
+    code, out, err = run_cli(capsys, "profile", "--n", "6", "--k", "2", "--input", family_file, "--kappa", "2")
+    assert_one_error_line(code, out, err)
+    assert "--n does not apply with --input" in err
+
+
+@pytest.mark.parametrize("flag,value", [("--n", "8"), ("--m", "20"), ("--q", "9"), ("--seed", "4")])
+def test_search_refuses_sampling_flags_beside_input(capsys, tmp_path, flag, value):
+    from rainbowlab.seeding import make_rng
+    from rainbowlab.threshold import format_instance_text, sample_instance
+
+    path = tmp_path / "inst.txt"
+    path.write_text(format_instance_text(sample_instance(7, 1, 30, 21, make_rng(1))))
+    code, out, err = run_cli(capsys, "search", "--input", str(path), flag, value)
+    assert_one_error_line(code, out, err)
+    assert f"{flag} does not apply with --input" in err
+
+
+def test_fragment_refuses_omega_beside_sweep(capsys):
+    code, out, err = run_cli(
+        capsys, "fragment", "--n", "7", "--q", "9", "--sweep", "1,2", "--sweep-trials", "5",
+        "--seed", "3", "--omega", "3",
+    )
+    assert_one_error_line(code, out, err)
+    assert "--omega does not apply with --sweep" in err
+
+
 # every subcommand that prints JSON, at a small size, with the exit code it
 # must give; stdout must parse without the NaN and Infinity extensions, and a
 # non-finite kappa is refused rather than printed
@@ -264,7 +328,8 @@ def test_json_output_parses_strictly(capsys, argv, want):
 
 
 # stdout of small runs of the commands that read a power family's views,
-# rainbow subfamilies or Monte Carlo colorings, pinned byte for byte
+# rainbow subfamilies or Monte Carlo colorings, and of audits that walk
+# classes of member subgraphs past enumeration, pinned byte for byte
 CLI_DIGESTS = {
     "profile --n 7 --k 1": "8f071fa3b9d1462237a8f3c903b4917dbb4846102720fc1bd241160bbec9dbd5",
     "profile --n 7 --k 2 --semantics labeled-orders": "c28b0dbd70e103baf1844e5086cb0162602efd6bb03fc92b8d989d0346c6b5a2",
@@ -272,6 +337,9 @@ CLI_DIGESTS = {
     "moments --n 6 --k 1 --q 7 --trials 3000 --seed 3": "79b0486ee49c596a89d8283ec4b4ed1bf99f58404e3b2b1b9a0fa41b31e7ed6f",
     "audit-chain --n 9 --k 1": "baa5617884aba665c844d5877a31ca9076dc77fbc16ec82f5cee97be9f0ff594",
     "audit-chain --n 8 --k 2": "001cd4e2c0ca978d917f5dbc17f7b147e7271020a9bf68a1ccee48005837bfa1",
+    "audit-prop1 --n 20 --k 1": "1dd6c450f9ab0917a77c804797ef299e249b97d4332f5e5dfb4c472cdc1758ee",
+    "audit-prop1 --n 17 --k 2": "5589fb0af084666d6d01e869d49ad918d671d615af452065e9801ced7daa8d8d",
+    "audit-prop2 --n 18 --k 1": "ddee9395614f631b01f68fa5be2efd8d2f8b3c5bd15f55a20aed47d2a21842d2",
     "spread --n 7 --k 2 --smax 2": "2d06a61a542d4e66fac07adcfd72f2ce3e3beee939309b76261a5b9276e46a3a",
     "fragment --n 7 --k 1 --mode staged": "abf7bfacc267c802f6049e4b2218e4b0e56801e7f3001f4493f6f8152cd1860a",
     "fragment --n 7 --k 1 --sweep 1,2,3 --sweep-trials 50": "6fa4a0b65927ff30eba36893590d8e6aae23fe83c7ae2d5094474132b9f4e3e9",
@@ -283,6 +351,40 @@ def test_cli_stdout_digests(capsys, command):
     code, out, err = run_cli(capsys, *command.split())
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == CLI_DIGESTS[command]
+
+
+def test_audit_chain_exact_ratios_by_hand(capsys):
+    # f_t / |H|: the share of the 360 orders of [7] whose power meets the
+    # identity cycle in exactly t edges, counted over raw permutations
+    from rainbowlab.hampow import canonical_orders, power_edge_set
+
+    code, out, err = run_cli(capsys, "audit-chain", "--n", "7", "--k", "1")
+    assert code == 0, err
+    base = set(power_edge_set(tuple(range(7)), 1))
+    meets = Counter(len(base & set(power_edge_set(o, 1))) for o in canonical_orders(7))
+    rows = strict_json(out)["rows"]
+    assert [row["t"] for row in rows] == [1, 2]
+    for row in rows:
+        assert row["exact_ratio"] == pytest.approx(meets[row["t"]] / 360)
+
+
+def test_audit_chain_takes_one_profile_row(capsys, monkeypatch):
+    # every t reads the same labeled-orders profile row, scanned once; the
+    # name is counted in each module that has called it
+    from rainbowlab import hypergraph
+
+    calls = []
+
+    def counting(hg, base):
+        calls.append(base)
+        return hypergraph.intersection_profile(hg, base)
+
+    for module in ("rainbowlab.cli", "rainbowlab.hampow"):
+        monkeypatch.setattr(f"{module}.intersection_profile", counting, raising=False)
+    code, out, err = run_cli(capsys, "audit-chain", "--n", "9", "--k", "1")
+    assert code == 0, err
+    assert len(strict_json(out)["rows"]) == 3
+    assert calls == [0]
 
 
 def test_audit_chain_below_one_subgraph_size_is_empty(capsys):

@@ -20,16 +20,17 @@ from rainbowlab.hampow import (
     AuditRow,
     PowerFamily,
     PowerParams,
+    _ends,
     _ExtensionCounter,
     _member_tallies,
     _prop2_rows,
+    _shape,
     audit_prop1,
     audit_prop2_reading_a,
     audit_prop2_reading_b,
     audit_structure,
     canonical_orders,
     component_tally,
-    components_of,
     enumerate_family,
     f_chain_bound,
     order_count,
@@ -284,11 +285,11 @@ def test_components_against_bfs():
         tuple(pair_id(i, i + 1) for i in range(5)),
     ]
     for ids in cases:
-        stats, per_comp = components_of(ids)
-        assert per_comp == bfs_components(ids)
-        assert stats.t == len(ids)
-        assert stats.c == len(per_comp)
-        assert stats.v == sum(v for _, v in per_comp)
+        shape = _shape(_ends(set(ids)))
+        assert shape == bfs_components(ids)
+        assert sum(e for e, _ in shape) == len(ids)
+        assert len(shape) == len(bfs_components(ids))
+        assert sum(v for _, v in shape) == len({x for e in ids for x in pair_of(e)})
 
 
 def test_components_random_subsets():
@@ -297,11 +298,11 @@ def test_components_random_subsets():
         for _ in range(50):
             ids = rng.sample(range(n * (n - 1) // 2), rng.randint(1, n))
             ids += rng.choices(ids, k=rng.randint(0, 3))  # a repeated id counts once
-            stats, per_comp = components_of(ids)
-            assert per_comp == bfs_components(set(ids))
-            assert stats.t == len(set(ids))
-            assert stats.c == len(per_comp)
-            assert stats.v == sum(v for _, v in per_comp)
+            shape = _shape(_ends(set(ids)))
+            assert shape == bfs_components(set(ids))
+            assert sum(e for e, _ in shape) == len(set(ids))
+            assert len(shape) == len(bfs_components(set(ids)))
+            assert sum(v for _, v in shape) == len({x for e in ids for x in pair_of(e)})
 
 
 # ----------------------------------------------------------------------------
@@ -412,7 +413,7 @@ def test_component_tally_reading_a_matches_brute_force():
             want = {}
             for size in range(1, t + 1):
                 for sub in combinations(t_set, size):
-                    c = components_of(sub)[0].c
+                    c = len(bfs_components(sub))
                     want[c] = want.get(c, 0) + 1
             assert tally == want, (n, k, t_set)
             assert sum(tally.values()) == 2**t - 1
@@ -469,7 +470,7 @@ def test_component_tally_reading_b_matches_brute_force():
         tally = component_tally(member, t, reading="b")
         want = {}
         for sub in combinations(member, t):
-            c = components_of(sub)[0].c
+            c = len(bfs_components(sub))
             want[c] = want.get(c, 0) + 1
         assert tally == want, (order, k, t)
         assert sum(tally.values()) == math.comb(k * len(order), t)
@@ -514,7 +515,7 @@ def structure_rows(monkeypatch, sub, k):
     import rainbowlab.hampow as hampow
 
     monkeypatch.setattr(hampow, "_audit", lambda name, n, k, budget, rows_of: rows_of)
-    return audit_structure(3 * k + 4, k)(sub, 1)
+    return audit_structure(3 * k + 4, k)(sub, bfs_components(sub), 1)
 
 
 def test_structure_check_flags_dense_component(monkeypatch):
@@ -550,17 +551,7 @@ def test_f_chain_bound_recomputed_directly():
             if m_ > 0:
                 term *= (m_ / (n - 1)) ** m_
             want += term
-        got = f_chain_bound(n, k, t, budget=0)
-        assert got.value == pytest.approx(2 * want)
-        assert got.exact_ratio is None
-
-
-def test_f_chain_exact_ratio_matches_profile():
-    got = f_chain_bound(7, 1, 2, budget=10_000)
-    fam = enumerate_family(PowerParams(7, 1))
-    base = set(fam.edge_sets[0])
-    hits = sum(1 for o in fam.orders if len(base & set(power_edge_set(o, 1))) == 2)
-    assert got.exact_ratio == pytest.approx(hits / 360)
+        assert f_chain_bound(n, k, t) == pytest.approx(2 * want)
 
 
 # ----------------------------------------------------------------------------
@@ -642,7 +633,7 @@ def enumerating_audit(name, n, k, budget, rows_of):
     worst = {}
     violations = []
     for sub, cnt in counts.items():
-        for row in rows_of(sub, cnt):
+        for row in rows_of(sub, bfs_components(sub), cnt):
             if not row.passed:
                 violations.append(row)
             prev = worst.get((row.t, row.c))
@@ -690,7 +681,7 @@ def test_violations_keep_their_multiplicity(monkeypatch, n, k):
 def test_audit_row_rule_largest_exact_then_smallest_bound():
     import rainbowlab.hampow as hampow
 
-    def rows_of(sub, _cnt):
+    def rows_of(sub, *_):
         return [AuditRow(7, 1, 1, 1, len(sub), float(sum(sub)), True)]
 
     rep = hampow._audit("rule", 7, 1, 10**6, rows_of)
@@ -698,23 +689,50 @@ def test_audit_row_rule_largest_exact_then_smallest_bound():
     assert rep.rows == (AuditRow(7, 1, 1, 1, 2, float(min(map(sum, combinations(member, 2)))), True),)
 
 
-def test_k1_walk_runs_components_of_per_class_only(monkeypatch):
-    # the walk keys subsets from endpoint masks; components_of runs in
-    # count(S) and in rows_of, once each per class: at (15, 1) the classes
-    # are the 18 partitions of t = 1..5 into path lengths
+def test_k1_walk_reads_each_shape_off_its_key(monkeypatch):
+    # a k = 1 class is keyed by its paths' vertex counts, which fix its
+    # shape, so _shape never runs; count runs once per class: at (15, 1)
+    # the classes are the 18 partitions of t = 1..5 into path lengths
+    import rainbowlab.hampow as hampow
+
+    def shaping(ends):
+        raise AssertionError("the k = 1 walk ran _shape")
+
+    counted = []
+    count = hampow._ExtensionCounter.__call__
+
+    def counting(self, sub, *rest):
+        counted.append(sub)
+        return count(self, sub, *rest)
+
+    monkeypatch.setattr(hampow, "_shape", shaping)
+    monkeypatch.setattr(hampow._ExtensionCounter, "__call__", counting)
+    audit_prop1(15, 1)
+    assert len(counted) == len(set(counted)) == 18
+
+
+def test_k2_walk_shapes_each_class_once(monkeypatch):
+    # at k >= 2 the dihedral key does not fix the shape; _shape runs once
+    # per class, on the class's first subset in walk order
     import rainbowlab.hampow as hampow
 
     calls = []
-    comps = hampow.components_of
+    shape = hampow._shape
 
-    def counting(ids):
-        calls.append(ids)
-        return comps(ids)
+    def counting(ends):
+        calls.append(sorted(ends))
+        return shape(ends)
 
-    monkeypatch.setattr(hampow, "components_of", counting)
-    audit_prop1(15, 1)
-    assert len(set(calls)) == 18
-    assert len(calls) == 2 * 18
+    monkeypatch.setattr(hampow, "_shape", counting)
+    audit_prop1(12, 2)
+    member = power_edge_set(tuple(range(12)), 2)
+    firsts = {}
+    for t in range(1, 3):
+        for sub in combinations(member, t):
+            firsts.setdefault(dihedral_class(sub, 12), sub)
+    masks = [sorted((1 << u) | (1 << v) for u, v in map(pair_of, sub)) for sub in firsts.values()]
+    assert len(masks) > 1
+    assert calls == masks
 
 
 @pytest.mark.parametrize("n,k", [(18, 2), (27, 3)])
@@ -750,16 +768,17 @@ def test_extension_counts_match_enumeration(n, k):
     count = _ExtensionCounter(n, k, budget=10**7)
     sizes = range(1, n - 1) if k == 1 else range(1, 5)
     for sub in _random_member_subsets(n, k, sizes, 60, seed=n * 10 + k):
-        assert count(sub) == count_superedges(labeled, sub), sub
+        assert count(sub, bfs_components(sub)) == count_superedges(labeled, sub), sub
 
 
 def test_k1_closed_form_matches_placement_search():
     for n in range(4, 13):
         count = _ExtensionCounter(n, 1, budget=10**8)
         for sub in _random_member_subsets(n, 1, range(1, n), 40, seed=n):
-            stats, _ = components_of(sub)
+            shape = bfs_components(sub)
             searched = count._pinned_placements([pair_of(e) for e in sub])
-            assert count(sub) == searched * math.factorial(n - stats.v) // 2, (n, sub)
+            v = sum(v for _, v in shape)
+            assert count(sub, shape) == searched * math.factorial(n - v) // 2, (n, sub)
 
 
 # ----------------------------------------------------------------------------
