@@ -199,12 +199,10 @@ def cmd_audit_chain(args) -> int:
     if args.t_max is not None and not 1 <= t_max <= params.t_max:
         span = f"must lie in 1..{params.t_max}" if params.t_max else "has no range: n/3k < 1"
         raise InputError(f"--t-max {span} for n={args.n}, k={args.k}")
-    if args.budget < 0:
-        raise InputError(f"enumeration budget must be >= 0, got {args.budget}")
     # every exact ratio f_t / |H| is one entry of the same labeled-orders
     # profile row, taken once when the family fits the budget
     ratios = [None] * (t_max + 1)
-    if t_max >= 1 and hampow.order_count(args.n) <= args.budget:
+    if hampow.orders_fit(args.n, args.budget) and t_max >= 1:
         fam = _family(args)
         counts = intersection_profile(fam.hypergraph(LABELED_ORDERS), 0).counts
         ratios = [f / len(fam.orders) for f in counts]

@@ -36,6 +36,7 @@ __all__ = [
     "AuditRow",
     "AuditReport",
     "order_count",
+    "orders_fit",
     "canonical_orders",
     "power_edge_set",
     "enumerate_family",
@@ -85,6 +86,14 @@ class PowerParams:
 def order_count(n: int) -> int:
     """Number of canonical cyclic orders of [n]: (n-1)!/2."""
     return math.factorial(n - 1) // 2
+
+
+def orders_fit(n: int, budget: int) -> bool:
+    """Whether enumerate_family can take the canonical orders of [n] within an
+    enumeration budget >= 0: n is small enough and (n-1)!/2 <= budget."""
+    if budget < 0:
+        raise InputError(f"enumeration budget must be >= 0, got {budget}")
+    return n <= _MAX_ENUMERATION_N and order_count(n) <= budget
 
 
 def canonical_orders(n: int) -> Iterator[tuple[int, ...]]:
@@ -194,18 +203,15 @@ def enumerate_family(params: PowerParams, budget: int = DEFAULT_ORDER_BUDGET) ->
     kernel, before any work happens.
     """
     n, k = params.n, params.k
-    if budget < 0:
-        raise InputError(f"enumeration budget must be >= 0, got {budget}")
-    if n > _MAX_ENUMERATION_N:
+    if not orders_fit(n, budget):
+        if n > _MAX_ENUMERATION_N:
+            raise BudgetError(
+                f"family ({n}, {k}): enumeration handles n <= {_MAX_ENUMERATION_N} only "
+                f"(a*n + b must fit in a byte); n = {_MAX_ENUMERATION_N} already has "
+                f"{order_count(_MAX_ENUMERATION_N)} canonical orders"
+            )
         raise BudgetError(
-            f"family ({n}, {k}): enumeration handles n <= {_MAX_ENUMERATION_N} only "
-            f"(a*n + b must fit in a byte); n = {_MAX_ENUMERATION_N} already has "
-            f"{order_count(_MAX_ENUMERATION_N)} canonical orders"
-        )
-    total = order_count(n)
-    if total > budget:
-        raise BudgetError(
-            f"family ({n}, {k}) has {total} canonical orders, "
+            f"family ({n}, {k}) has {order_count(n)} canonical orders, "
             f"over the enumeration budget {budget}"
         )
     cached = _family_cache.get((n, k))
@@ -226,9 +232,9 @@ def enumerate_family(params: PowerParams, budget: int = DEFAULT_ORDER_BUDGET) ->
         orders=orders,
         order_sets=order_sets,
         edge_sets=tuple(distinct),
-        collisions=total - len(distinct),
+        collisions=len(orders) - len(distinct),
     )
-    if total <= _CACHE_ORDERS:
+    if len(orders) <= _CACHE_ORDERS:
         _orders_cache[n] = shared
         _family_cache[(n, k)] = fam
     return fam
@@ -603,10 +609,11 @@ def _audit(
     components, which are paths as t <= n/3 < n, each with one edge fewer
     than its vertices, so the key fixes S's shape and is its isomorphism
     class; at k >= 2 the dihedral key, S's class under rotation and
-    reflection of Z_n.  When the walk first meets a class it records the subset, its shape (read
-    off the key at k = 1, one _shape at k >= 2) and its count, so a placement
-    search past the budget stops the walk there.  rows_of runs once per class
-    on that record, so it may depend on S only through its class.
+    reflection of Z_n.  When the walk first meets a class it records the
+    subset, its shape (read off the key at k = 1, one _shape at k >= 2) and
+    its count, so a placement search past the budget stops the walk there.
+    rows_of runs once per class on that record, so it may depend on S only
+    through its class.
 
     `checked` is the number of distinct subgraphs of members, an orbit sum:
     each such T lies in count(T) of the N = (n-1)!/2 order powers, and each

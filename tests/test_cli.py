@@ -387,6 +387,34 @@ def test_audit_chain_takes_one_profile_row(capsys, monkeypatch):
     assert calls == [0]
 
 
+@pytest.mark.parametrize("budget,enumerates", [(0, False), (20159, False), (20160, True)])
+def test_audit_chain_exact_ratios_need_the_whole_family(capsys, monkeypatch, budget, enumerates):
+    # [9] has 8!/2 = 20160 canonical orders: one fewer in the budget and no
+    # order is enumerated, no profile is taken, and every exact ratio is null
+    from rainbowlab import hypergraph
+
+    calls = []
+
+    def counting(hg, base):
+        calls.append(base)
+        return hypergraph.intersection_profile(hg, base)
+
+    monkeypatch.setattr("rainbowlab.cli.intersection_profile", counting)
+    code, out, err = run_cli(capsys, "audit-chain", "--n", "9", "--k", "1", "--budget", str(budget))
+    assert code == 0, err
+    ratios = [row["exact_ratio"] for row in strict_json(out)["rows"]]
+    assert len(ratios) == 3
+    assert calls == ([0] if enumerates else [])
+    assert all(r is not None for r in ratios) if enumerates else ratios == [None] * 3
+
+
+def test_audit_chain_past_the_enumeration_kernel_is_null(capsys):
+    # n = 17 cannot be enumerated whatever the budget, so the ratios are null
+    code, out, err = run_cli(capsys, "audit-chain", "--n", "17", "--k", "1", "--budget", str(10**14))
+    assert code == 0, err
+    assert [row["exact_ratio"] for row in strict_json(out)["rows"]] == [None] * 5
+
+
 def test_audit_chain_below_one_subgraph_size_is_empty(capsys):
     # n/3k < 1 admits no t; like audit-prop1, the default range is empty
     code, out, err = run_cli(capsys, "audit-chain", "--n", "8", "--k", "3")
