@@ -405,7 +405,7 @@ def test_audit_chain_exact_ratios_need_the_whole_family(capsys, monkeypatch, bud
     ratios = [row["exact_ratio"] for row in strict_json(out)["rows"]]
     assert len(ratios) == 3
     assert calls == ([0] if enumerates else [])
-    assert all(r is not None for r in ratios) if enumerates else ratios == [None] * 3
+    assert [r is None for r in ratios] == [not enumerates] * 3
 
 
 def test_audit_chain_past_the_enumeration_kernel_is_null(capsys):
