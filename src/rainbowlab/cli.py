@@ -64,6 +64,14 @@ def _refuse(args, mode: str, *dests: str) -> None:
             raise InputError(f"--{dest} does not apply with {mode}")
 
 
+def _refuse_given(args, mode: str, *flags: str) -> None:
+    """Refuse a flag registered with `_Given` that `mode` would ignore, when
+    the command line or the config gives it."""
+    for flag in flags:
+        if flag in getattr(args, "given", ()):
+            raise InputError(f"{flag} does not apply {mode}")
+
+
 def _emit(payload: dict, args, filename: str) -> None:
     """Primary JSON to stdout; a copy under --out-dir when one is given."""
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -92,6 +100,7 @@ def _load_hypergraph(args):
     """Either an explicit file or the (n, k) power family, as chosen by flags."""
     if getattr(args, "input", None):
         _refuse(args, "--input", "n")
+        _refuse_given(args, "with --input", "--k", "--budget")
         return read_hypergraph_text(_read_text(Path(args.input)), semantics=args.semantics)
     if args.n is None:
         raise InputError("give either --input FILE or --n (with --k)")
@@ -173,9 +182,7 @@ def cmd_audit_prop1(args) -> int:
 
 def cmd_audit_prop2(args) -> int:
     other_reading = {"a": ("--n-min", "--n-max"), "b": ("--budget",)}[args.reading]
-    for flag in other_reading:
-        if flag in getattr(args, "given", ()):
-            raise InputError(f"{flag} does not apply to reading ({args.reading})")
+    _refuse_given(args, f"to reading ({args.reading})", *other_reading)
     if args.reading == "a":
         _need(args, "n")
         report = hampow.audit_prop2_reading_a(args.n, args.k, budget=args.budget)
@@ -398,11 +405,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         registry[name] = p
         return p
 
-    def add_nk(p):
+    def add_nk(p, **kwargs):
         # not argparse-required: a --config file may supply it, so presence is
         # checked after the merge
         p.add_argument("--n", type=int, default=None, help="number of vertices")
-        p.add_argument("--k", type=int, default=1, help="power of the Hamilton cycle")
+        p.add_argument("--k", type=int, default=1, help="power of the Hamilton cycle", **kwargs)
 
     def add_budget(p, help_text="enumeration budget (cyclic orders)", **kwargs):
         p.add_argument("--budget", type=int, default=hampow.DEFAULT_ORDER_BUDGET, help=help_text, **kwargs)
@@ -425,15 +432,15 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.set_defaults(func=cmd_family)
 
     p = add("spread", "compute the spread constant kappa_s of a family")
-    add_nk(p)
-    add_budget(p)
+    add_nk(p, action=_Given)
+    add_budget(p, action=_Given)
     p.add_argument("--smax", type=int, default=1, help="largest subset size to scan")
     add_semantics(p, input_file=True)
     p.set_defaults(func=cmd_spread)
 
     p = add("profile", "intersection profile and the least workable K0 for a family")
-    add_nk(p)
-    add_budget(p)
+    add_nk(p, action=_Given)
+    add_budget(p, action=_Given)
     add_semantics(p, input_file=True)
     p.add_argument("--alpha", type=float, default=1 / 3, help="profile cut fraction")
     p.add_argument("--kappa", type=float, default=None, help="spread parameter (default: n^(1/k))")

@@ -291,12 +291,19 @@ def empirical_moments(
 
     Trial i draws its colors from a generator keyed by (seed, stream, i), so
     the estimate is reproducible and order-independent.  Exact moments are
-    attached when the pairwise tally fits the budget.
+    attached when the pairwise tally fits the budget.  They are computed
+    first, so a bad budget or family is refused before any sampling.
     """
     if trials < 1:
         raise InputError(f"need at least one trial, got {trials}")
     if q < 1:
         raise InputError(f"palette size q must be >= 1, got {q}")
+    try:
+        stats = exact_second_moment(hg, q, pair_budget=pair_budget)
+        e_z, e_z2 = float(stats.e_z), float(stats.e_z2)
+    except BudgetError:
+        e_z = e_z2 = None
+
     s1 = s2 = s4 = 0
     for i in range(trials):
         rng = make_rng(seed, _STREAM_COLORS, i)
@@ -314,12 +321,6 @@ def empirical_moments(
         var = var_z2 = 0.0
     var = max(var, 0.0)
     var_z2 = max(var_z2, 0.0)
-
-    try:
-        stats = exact_second_moment(hg, q, pair_budget=pair_budget)
-        e_z, e_z2 = float(stats.e_z), float(stats.e_z2)
-    except BudgetError:
-        e_z = e_z2 = None
 
     return MomentReport(
         family_size=len(hg.edges),

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import threading
 import time
 from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
@@ -404,9 +405,14 @@ def _run_task(task: tuple) -> tuple[int, int, int, int, float]:
 def run_grid(config: ExperimentConfig) -> GridResults:
     """Run every grid point for the configured number of trials.
 
-    With workers > 1 the (point, trial) tasks are mapped over a spawned
-    process pool; results are reduced in task order either way, so the rows
-    do not depend on the worker count.
+    With workers > 1 the (point, trial) tasks are mapped over a process pool
+    of at most one worker per task.  Its workers fork from this process, so
+    they inherit the imported package instead of importing it again.  The
+    package starts no threads; a fork could copy a lock that another thread
+    holds, so the workers are spawned instead where the caller runs threads
+    or the platform cannot fork.  Each task seeds its own generator and
+    results are reduced in task order, so the rows do not depend on the
+    worker count or the start method.
     """
     points = config.points()
     tasks = [
@@ -427,9 +433,10 @@ def run_grid(config: ExperimentConfig) -> GridResults:
     if config.workers == 1:
         outcomes = [_run_task(t) for t in tasks]
     else:
-        ctx = multiprocessing.get_context("spawn")
+        fork = threading.active_count() == 1 and "fork" in multiprocessing.get_all_start_methods()
+        ctx = multiprocessing.get_context("fork" if fork else "spawn")
         chunk = max(1, len(tasks) // (config.workers * 8))
-        with ctx.Pool(config.workers) as pool:
+        with ctx.Pool(min(config.workers, len(tasks))) as pool:
             outcomes = pool.map(_run_task, tasks, chunksize=chunk)
 
     rows = []

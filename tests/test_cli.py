@@ -276,6 +276,26 @@ def test_profile_refuses_n_beside_input(capsys, family_file):
     assert "--n does not apply with --input" in err
 
 
+# --k and --budget have defaults, so a flag is refused when the command line
+# or the config gives it, even at its default value
+@pytest.mark.parametrize("flag,value", [("--k", "3"), ("--budget", "5"), ("--k", "1"), ("config", "3")])
+def test_spread_refuses_k_and_budget_beside_input(capsys, tmp_path, family_file, flag, value):
+    given = [flag, value]
+    if flag == "config":
+        (tmp_path / "cfg.json").write_text(f'{{"k": {value}}}')
+        flag, given = "--k", ["--config", str(tmp_path / "cfg.json")]
+    code, out, err = run_cli(capsys, "spread", "--input", family_file, *given)
+    assert_one_error_line(code, out, err)
+    assert f"{flag} does not apply with --input" in err
+
+
+@pytest.mark.parametrize("flag,value", [("--k", "3"), ("--budget", "5")])
+def test_profile_refuses_k_and_budget_beside_input(capsys, family_file, flag, value):
+    code, out, err = run_cli(capsys, "profile", "--input", family_file, "--kappa", "2", flag, value)
+    assert_one_error_line(code, out, err)
+    assert f"{flag} does not apply with --input" in err
+
+
 @pytest.mark.parametrize("flag,value", [("--n", "8"), ("--m", "20"), ("--q", "9"), ("--seed", "4")])
 def test_search_refuses_sampling_flags_beside_input(capsys, tmp_path, flag, value):
     from rainbowlab.seeding import make_rng

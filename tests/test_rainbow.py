@@ -303,6 +303,25 @@ def test_empirical_moments_hit_exact_within_three_se():
     assert abs(rep.mc_mean_z2 - float(rep.e_z2)) <= 3 * rep.mc_se_z2
 
 
+def test_empirical_moments_refuse_a_negative_pair_budget_before_sampling(monkeypatch):
+    def no_sampling(*key):
+        raise AssertionError("sampled before checking the pair budget")
+
+    monkeypatch.setattr(rainbow, "make_rng", no_sampling)
+    hg = cycle_family(6)
+    with pytest.raises(InputError, match="pair budget must be >= 0, got -1"):
+        empirical_moments(hg, 6, 50_000, 1, pair_budget=-1)
+
+
+def test_empirical_moments_too_small_a_pair_budget_drops_only_the_exact_values():
+    hg = cycle_family(5)
+    small = empirical_moments(hg, 6, trials=200, seed=3, pair_budget=1)
+    full = empirical_moments(hg, 6, trials=200, seed=3)
+    assert small.e_z is None and small.e_z2 is None
+    assert full.e_z is not None
+    assert (small.mc_mean, small.mc_mean_z2) == (full.mc_mean, full.mc_mean_z2)
+
+
 def test_empirical_moments_are_reproducible():
     hg = tiny_family()
     a = empirical_moments(hg, 3, trials=500, seed=7)

@@ -5,7 +5,10 @@ permutation scan that knows nothing about bitmasks, pruning, or candidate
 ordering.  Golden CSV bytes pin the report format and the seeding chain.
 """
 
+import dataclasses
 import math
+import multiprocessing
+import threading
 from itertools import permutations
 
 import pytest
@@ -348,6 +351,77 @@ def test_run_grid_worker_count_does_not_change_bytes():
     cfg1 = ExperimentConfig(n=6, k=1, q=8, trials=8, seed=5, m_grid=(8, 12), workers=1)
     cfg2 = ExperimentConfig(n=6, k=1, q=8, trials=8, seed=5, m_grid=(8, 12), workers=2)
     assert format_csv(run_grid(cfg1)) == format_csv(run_grid(cfg2))
+
+
+def test_run_grid_bytes_at_criterion_9_size_do_not_depend_on_workers():
+    grid = dict(n=12, k=2, q=27, trials=20, seed=9, c_grid=(0.5, 1.0, 2.0))
+    one = format_csv(run_grid(ExperimentConfig(workers=1, **grid)))
+    assert one.encode() == format_csv(run_grid(ExperimentConfig(workers=2, **grid))).encode()
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="platform cannot fork")
+def test_run_grid_forks_its_workers_where_the_platform_can(monkeypatch):
+    asked = []
+    get_context = multiprocessing.get_context
+
+    def recording(method=None):
+        asked.append(method)
+        return get_context(method)
+
+    monkeypatch.setattr(multiprocessing, "get_context", recording)
+    run_grid(ExperimentConfig(n=6, k=1, q=8, trials=2, seed=5, m_grid=(8,), workers=2))
+    assert asked == ["fork"]
+
+
+def test_run_grid_leaves_no_worker_running():
+    run_grid(ExperimentConfig(n=6, k=1, q=8, trials=4, seed=5, m_grid=(8, 12), workers=2))
+    assert multiprocessing.active_children() == []
+
+
+class _InProcessContext:
+    """A start-method context whose pool records its size and maps here."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def Pool(self, size):
+        self.sizes.append(size)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return [fn(t) for t in tasks]
+
+
+def test_run_grid_starts_no_more_workers_than_tasks(monkeypatch):
+    ctx = _InProcessContext()
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: ctx)
+    cfg = ExperimentConfig(n=6, k=1, q=8, trials=3, seed=5, m_grid=(8,), workers=8)
+    res = run_grid(cfg)
+    assert ctx.sizes == [3]
+    assert res.config["workers"] == 8
+    assert format_csv(res) == format_csv(run_grid(dataclasses.replace(cfg, workers=1)))
+
+
+def test_run_grid_spawns_its_workers_beside_a_thread(monkeypatch):
+    ctx = _InProcessContext()
+    asked = []
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: asked.append(method) or ctx)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(10,))
+    thread.start()
+    try:
+        run_grid(ExperimentConfig(n=6, k=1, q=8, trials=2, seed=5, m_grid=(8,), workers=2))
+    finally:
+        release.set()
+        thread.join(10)
+    assert not thread.is_alive()
+    assert asked == ["spawn"]
 
 
 def test_rate_is_none_until_something_is_decided():
