@@ -57,14 +57,7 @@ def _need(args, dest: str) -> None:
         raise InputError(f"--{dest} is required (as a flag or a config key)")
 
 
-def _refuse(args, mode: str, *dests: str) -> None:
-    """Refuse a flag that the mode chosen by the flag `mode` would ignore."""
-    for dest in dests:
-        if getattr(args, dest) is not None:
-            raise InputError(f"--{dest} does not apply with {mode}")
-
-
-def _refuse_given(args, mode: str, *flags: str) -> None:
+def _refuse(args, mode: str, *flags: str) -> None:
     """Refuse a flag registered with `_Given` that `mode` would ignore, when
     the command line or the config gives it."""
     for flag in flags:
@@ -99,8 +92,7 @@ def _read_text(path: Path) -> str:
 def _load_hypergraph(args):
     """Either an explicit file or the (n, k) power family, as chosen by flags."""
     if getattr(args, "input", None):
-        _refuse(args, "--input", "n")
-        _refuse_given(args, "with --input", "--k", "--budget")
+        _refuse(args, "with --input", "--n", "--k", "--budget")
         return read_hypergraph_text(_read_text(Path(args.input)), semantics=args.semantics)
     if args.n is None:
         raise InputError("give either --input FILE or --n (with --k)")
@@ -182,7 +174,7 @@ def cmd_audit_prop1(args) -> int:
 
 def cmd_audit_prop2(args) -> int:
     other_reading = {"a": ("--n-min", "--n-max"), "b": ("--budget",)}[args.reading]
-    _refuse_given(args, f"to reading ({args.reading})", *other_reading)
+    _refuse(args, f"to reading ({args.reading})", *other_reading)
     if args.reading == "a":
         _need(args, "n")
         report = hampow.audit_prop2_reading_a(args.n, args.k, budget=args.budget)
@@ -211,8 +203,7 @@ def cmd_audit_chain(args) -> int:
     ratios = [None] * (t_max + 1)
     if hampow.orders_fit(args.n, args.budget) and t_max >= 1:
         fam = _family(args)
-        counts = intersection_profile(fam.hypergraph(LABELED_ORDERS), 0).counts
-        ratios = [f / len(fam.orders) for f in counts]
+        ratios = [f / len(fam.orders) for f in intersection_profile(fam.hypergraph(LABELED_ORDERS), 0)]
     rows = [
         {"t": t, "bound": hampow.f_chain_bound(args.n, args.k, t), "exact_ratio": ratios[t]}
         for t in range(1, t_max + 1)
@@ -225,6 +216,10 @@ def cmd_moments(args) -> int:
     _need(args, "n")
     if args.trials < 0:
         raise InputError("--trials must be >= 0 (0 runs the exact moments only)")
+    if args.trials == 0:
+        _refuse(args, "with --trials 0", "--seed")
+    if args.q is not None:
+        _refuse(args, "with --q", "--epsilon1")
     fam = _family(args)
     hg = fam.hypergraph(args.semantics)
     q = args.q if args.q is not None else rainbow.default_color_count(hg.r, args.epsilon1)
@@ -259,11 +254,12 @@ def cmd_fragment(args) -> int:
     _need(args, "n")
     seed = _resolve_seed(args)
     if args.sweep is None:
+        _refuse(args, "without --sweep", "--sweep-trials")
         record = fragments.run_two_round(_fragment_config(args, seed))
         _emit(record.to_json(), args, f"fragment_n{args.n}_k{args.k}.json")
         return 0
 
-    _refuse(args, "--sweep", "omega")
+    _refuse(args, "with --sweep", "--omega")
     omegas = sorted(set(args.sweep))
     if any(w < 1 for w in omegas):
         raise InputError("--sweep values must be >= 1")
@@ -324,7 +320,7 @@ def cmd_threshold(args) -> int:
 
 def cmd_search(args) -> int:
     if args.input:
-        _refuse(args, "--input", "n", "m", "q", "seed")
+        _refuse(args, "with --input", "--n", "--k", "--m", "--q", "--seed")
         inst = threshold.read_instance_text(_read_text(Path(args.input)))
     else:
         if args.n is None or args.m is None:
@@ -408,7 +404,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     def add_nk(p, **kwargs):
         # not argparse-required: a --config file may supply it, so presence is
         # checked after the merge
-        p.add_argument("--n", type=int, default=None, help="number of vertices")
+        p.add_argument("--n", type=int, default=None, help="number of vertices", **kwargs)
         p.add_argument("--k", type=int, default=1, help="power of the Hamilton cycle", **kwargs)
 
     def add_budget(p, help_text="enumeration budget (cyclic orders)", **kwargs):
@@ -472,10 +468,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     add_nk(p)
     add_budget(p)
     p.add_argument("--q", type=int, default=None, help="palette size (default: ceil((1+eps1) r))")
-    p.add_argument("--epsilon1", type=float, default=0.1, help="palette surplus when --q is omitted")
+    p.add_argument("--epsilon1", type=float, default=0.1, action=_Given, help="palette surplus when --q is omitted")
     add_semantics(p)
     p.add_argument("--trials", type=int, default=100_000, help="Monte Carlo colorings (0: exact only)")
-    p.add_argument("--seed", type=int, default=None, help="master seed")
+    p.add_argument("--seed", type=int, default=None, action=_Given, help="master seed")
     p.add_argument("--pair-budget", type=int, default=4_000_000, help="member-pair budget")
     p.set_defaults(func=cmd_moments)
 
@@ -485,7 +481,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--q", type=int, default=None, help="palette size (default: ceil((1+eps1) r))")
     p.add_argument("--C", type=float, default=1.0, help="first-round exposure constant")
     p.add_argument("--epsilon1", type=float, default=0.1, help="acceptance slack")
-    p.add_argument("--omega", type=int, default=None, help="fragment cutoff (default: ceil(r^(1/3)))")
+    p.add_argument("--omega", type=int, default=None, action=_Given, help="fragment cutoff (default: ceil(r^(1/3)))")
     p.add_argument(
         "--mode",
         choices=[fragments.UPFRONT, fragments.STAGED],
@@ -494,7 +490,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     )
     p.add_argument("--seed", type=int, default=None, help="master seed")
     p.add_argument("--sweep", type=_ints, default=None, metavar="W1,W2,...", help="omega values to sweep")
-    p.add_argument("--sweep-trials", type=int, default=100, help="runs per omega during a sweep")
+    p.add_argument("--sweep-trials", type=int, default=100, action=_Given, help="runs per omega during a sweep")
     p.set_defaults(func=cmd_fragment)
 
     p = add("threshold", "success-rate grid over exposure sizes, with CSV/JSON/SVG reports")
@@ -516,11 +512,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.set_defaults(func=cmd_threshold, out_dir="out")
 
     p = add("search", "decide one instance: rainbow Hamilton power present, absent, or unknown")
-    add_nk(p)
-    p.add_argument("--q", type=int, default=None, help="palette size (default: ceil(1.1 k n))")
-    p.add_argument("--m", type=int, default=None, help="edges to sample when no --input")
+    add_nk(p, action=_Given)
+    p.add_argument("--q", type=int, default=None, action=_Given, help="palette size (default: ceil(1.1 k n))")
+    p.add_argument("--m", type=int, default=None, action=_Given, help="edges to sample when no --input")
     p.add_argument("--input", metavar="FILE", default=None, help="instance file to decide")
-    p.add_argument("--seed", type=int, default=None, help="master seed for sampling")
+    p.add_argument("--seed", type=int, default=None, action=_Given, help="master seed for sampling")
     p.add_argument("--budget", type=int, default=1_000_000, help="search node budget")
     p.add_argument("--no-rainbow", action="store_true", help="ignore colors, decide bare containment")
     p.set_defaults(func=cmd_search)

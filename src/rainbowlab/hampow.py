@@ -75,7 +75,7 @@ class PowerParams:
         return self.n * (self.n - 1) // 2
 
     def ground(self) -> GroundSet:
-        return GroundSet(self.ground_size, n_vertices=self.n)
+        return GroundSet(self.ground_size)
 
     @property
     def t_max(self) -> int:

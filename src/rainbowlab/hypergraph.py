@@ -1,10 +1,8 @@
 """Finite uniform hypergraphs with exact spread and intersection accounting.
 
 A hypergraph here is a family of r-element subsets of a ground set
-{0, ..., N-1}.  The ground set may optionally be tagged as the edge slots of a
-complete graph K_n, in which case element ids are colexicographic pair ids
-(see pair_id / pair_of).  Counts are exact integers; ratios and roots are
-evaluated in log space.
+{0, ..., N-1}.  Counts are exact integers; ratios and roots are evaluated in
+log space.
 
 Two semantics are supported.  Under "distinct-sets" the members are pairwise
 distinct sets.  Under "labeled-orders" the family is a multiset: the same set
@@ -15,6 +13,7 @@ the same power graph), and all counting operations weight by multiplicity.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
@@ -31,7 +30,6 @@ __all__ = [
     "GroundSet",
     "Hypergraph",
     "SpreadReport",
-    "IntersectionProfile",
     "K0Report",
     "pair_id",
     "pair_of",
@@ -76,24 +74,13 @@ def pair_of(eid: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class GroundSet:
-    """Element universe {0, ..., size-1}.
-
-    When n_vertices is set the ground set is the edge set of K_{n_vertices}
-    and ids are colex pair ids, which requires size == n(n-1)/2.
-    """
+    """Element universe {0, ..., size-1}."""
 
     size: int
-    n_vertices: int | None = None
 
     def __post_init__(self):
         if self.size < 1:
             raise InputError(f"ground set must be nonempty, got size {self.size}")
-        if self.n_vertices is not None:
-            n = self.n_vertices
-            if n < 2 or self.size != n * (n - 1) // 2:
-                raise InputError(
-                    f"size {self.size} does not match K_{n} with {n*(n-1)//2} edge slots"
-                )
 
     def check_element(self, x: int) -> None:
         if not 0 <= x < self.size:
@@ -119,9 +106,10 @@ class Hypergraph:
     """An r-uniform family over a ground set, under one of the two semantics.
 
     `transitive` marks a family whose automorphisms act transitively on its
-    members, so every member has the same intersection profile and the pair
-    scans need one row.  Only PowerFamily.hypergraph sets it; edges read
-    from text and rainbow subfamilies are never marked.
+    members, so every member has the same intersection profile and
+    _profile_rows, its only reader, takes one row.  Only
+    PowerFamily.hypergraph sets it; edges read from text and rainbow
+    subfamilies are never marked.
     """
 
     ground: GroundSet
@@ -261,56 +249,42 @@ def spread_up_to(hg: Hypergraph, s_max: int) -> SpreadReport:
 # ----------------------------------------------------------------------------
 # intersection profiles
 
-@dataclass(frozen=True)
-class IntersectionProfile:
+def intersection_profile(hg: Hypergraph, base_index: int) -> tuple[int, ...]:
     """counts[t] = number of members meeting the base edge in exactly t elements.
 
     The base edge itself lands at t == r, as do duplicate copies under
     labeled-orders semantics.  sum(counts) is the family size.
     """
-
-    base_index: int
-    counts: tuple[int, ...]
-
-    @property
-    def r(self) -> int:
-        return len(self.counts) - 1
-
-
-def intersection_profile(hg: Hypergraph, base_index: int) -> IntersectionProfile:
     if not 0 <= base_index < len(hg.edges):
         raise InputError(f"base index {base_index} out of range for family of {len(hg.edges)}")
     base = hg.masks[base_index]
     counts = [0] * (hg.r + 1)
     for m in hg.masks:
         counts[(m & base).bit_count()] += 1
-    return IntersectionProfile(base_index=base_index, counts=tuple(counts))
+    return tuple(counts)
 
 
-def _check_pair_budget(hg: Hypergraph, pair_budget: int, what: str) -> None:
-    """A transitive family scans one row of |H| pairs, any other all |H|^2."""
+def _profile_rows(hg: Hypergraph, pair_budget: int, what: str) -> Counter[tuple[int, ...]]:
+    """How many members have each intersection profile row.
+
+    Every member of a transitive family has the row of member 0, so one row
+    of |H| pairs stands for all |H| members; any other family scans all
+    |H|^2 pairs, one row per member.  The pair budget is checked first."""
     if pair_budget < 0:
         raise InputError(f"pair budget must be >= 0, got {pair_budget}")
     big_m = len(hg.edges)
-    pairs = big_m if hg.transitive else big_m * big_m
-    if pairs > pair_budget:
-        raise BudgetError(f"{what} needs {pairs} pair intersections, budget {pair_budget}")
+    bases, weight = (1, big_m) if hg.transitive else (big_m, 1)
+    if bases * big_m > pair_budget:
+        raise BudgetError(f"{what} needs {bases * big_m} pair intersections, budget {pair_budget}")
+    rows = Counter()
+    for base_index in range(bases):
+        rows[intersection_profile(hg, base_index)] += weight
+    return rows
 
 
 def max_profile(hg: Hypergraph, pair_budget: int = 10_000_000) -> tuple[int, ...]:
-    """fmax[t] = max over base edges of the t-entry of the intersection profile.
-
-    Every member of a transitive family has the profile of member 0."""
-    _check_pair_budget(hg, pair_budget, "profile scan")
-    if hg.transitive:
-        return intersection_profile(hg, 0).counts
-    big_m = len(hg.edges)
-    fmax = [0] * (hg.r + 1)
-    for base_index in range(big_m):
-        for t, c in enumerate(intersection_profile(hg, base_index).counts):
-            if c > fmax[t]:
-                fmax[t] = c
-    return tuple(fmax)
+    """fmax[t] = max over base edges of the t-entry of the intersection profile."""
+    return tuple(map(max, zip(*_profile_rows(hg, pair_budget, "profile scan"))))
 
 
 # ----------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .errors import BudgetError, InputError
-from .hypergraph import Hypergraph, _check_pair_budget, _view, alpha_cut, intersection_profile
+from .hypergraph import Hypergraph, _profile_rows, _view, alpha_cut
 from .seeding import make_rng
 
 __all__ = [
@@ -145,37 +145,20 @@ class RainbowStats:
         }
 
 
-def _pair_intersection_tally(hg: Hypergraph, pair_budget: int) -> list[int]:
-    """n_t = number of ordered member pairs meeting in exactly t elements.
-
-    Every member of a transitive family has the profile f of member 0, so
-    there n_t = |H| f_t."""
-    _check_pair_budget(hg, pair_budget, "second moment")
-    big_m = len(hg.edges)
-    if hg.transitive:
-        return [big_m * f_t for f_t in intersection_profile(hg, 0).counts]
-    n_t = [0] * (hg.r + 1)
-    masks = hg.masks
-    for i in range(big_m):
-        mi = masks[i]
-        n_t[hg.r] += 1  # the diagonal pair (i, i)
-        for j in range(i + 1, big_m):
-            n_t[(mi & masks[j]).bit_count()] += 2
-    return n_t
-
-
 # the exact path runs while (2r) * bitlen(q) stays within this many bits
 _MAX_DENOMINATOR_BITS = 1 << 16
 
 
 def exact_second_moment(hg: Hypergraph, q: int, pair_budget: int = 4_000_000) -> RainbowStats:
-    """Exact E(Z) and E(Z^2) from the pairwise intersection tally."""
+    """Exact E(Z) and E(Z^2) from the pairwise intersection tally: n_t ordered
+    member pairs meet in exactly t elements."""
     if q < 1:
         raise InputError(f"palette size q must be >= 1, got {q}")
     if not hg.edges:
         raise InputError("moments are undefined for an empty family")
     r = hg.r
-    n_t = _pair_intersection_tally(hg, pair_budget)
+    rows = _profile_rows(hg, pair_budget, "second moment")
+    n_t = [sum(c * row[t] for row, c in rows.items()) for t in range(r + 1)]
     e_z = expected_rainbow_count(len(hg.edges), q, r)
 
     exact = (2 * r) * q.bit_length() <= _MAX_DENOMINATOR_BITS

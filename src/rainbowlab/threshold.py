@@ -463,7 +463,6 @@ def run_grid(config: ExperimentConfig) -> GridResults:
                 seed=config.seed,
             )
         )
-    rows.sort(key=lambda r: (r.n, r.k, r.q, r.m, r.C))
     echo = {
         "n": config.n,
         "k": config.k,

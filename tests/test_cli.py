@@ -296,7 +296,9 @@ def test_profile_refuses_k_and_budget_beside_input(capsys, family_file, flag, va
     assert f"{flag} does not apply with --input" in err
 
 
-@pytest.mark.parametrize("flag,value", [("--n", "8"), ("--m", "20"), ("--q", "9"), ("--seed", "4")])
+@pytest.mark.parametrize(
+    "flag,value", [("--n", "8"), ("--m", "20"), ("--q", "9"), ("--seed", "4"), ("--k", "3")]
+)
 def test_search_refuses_sampling_flags_beside_input(capsys, tmp_path, flag, value):
     from rainbowlab.seeding import make_rng
     from rainbowlab.threshold import format_instance_text, sample_instance
@@ -315,6 +317,35 @@ def test_fragment_refuses_omega_beside_sweep(capsys):
     )
     assert_one_error_line(code, out, err)
     assert "--omega does not apply with --sweep" in err
+
+
+# a flag whose mode is off, given on the command line (even at its default)
+# or by a config; the same run without it exits 0
+FRAGMENT_ONCE = ["fragment", "--n", "7", "--q", "9", "--seed", "3"]
+EXACT_MOMENTS = ["moments", "--n", "5", "--q", "6", "--trials", "0"]
+IGNORED_FLAGS = [
+    (FRAGMENT_ONCE, ["--sweep-trials", "5"], "--sweep-trials does not apply without --sweep"),
+    (FRAGMENT_ONCE, {"sweep_trials": 5}, "--sweep-trials does not apply without --sweep"),
+    (EXACT_MOMENTS, ["--seed", "4"], "--seed does not apply with --trials 0"),
+    (EXACT_MOMENTS, {"seed": 4}, "--seed does not apply with --trials 0"),
+    (EXACT_MOMENTS, ["--epsilon1", "3"], "--epsilon1 does not apply with --q"),
+    (EXACT_MOMENTS, ["--epsilon1", "0.1"], "--epsilon1 does not apply with --q"),
+    (EXACT_MOMENTS, {"epsilon1": 3}, "--epsilon1 does not apply with --q"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,given,named", IGNORED_FLAGS, ids=[f"{a[0]} {json.dumps(g)}" for a, g, _ in IGNORED_FLAGS]
+)
+def test_an_ignored_flag_is_named(capsys, tmp_path, argv, given, named):
+    if isinstance(given, dict):
+        (tmp_path / "cfg.json").write_text(json.dumps(given))
+        given = ["--config", str(tmp_path / "cfg.json")]
+    code, out, err = run_cli(capsys, *argv, *given)
+    assert_one_error_line(code, out, err)
+    assert named in err
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
 
 
 # every subcommand that prints JSON, at a small size, with the exit code it

@@ -42,7 +42,7 @@ def cycle_edge_sets(n):
 
 
 def cycle_family(n):
-    ground = GroundSet(n * (n - 1) // 2, n_vertices=n)
+    ground = GroundSet(n * (n - 1) // 2)
     return Hypergraph(ground, tuple(cycle_edge_sets(n)), r=n, semantics=DISTINCT_SETS)
 
 
@@ -74,12 +74,6 @@ def test_pair_id_rejects_loops():
 
 # ----------------------------------------------------------------------------
 # construction
-
-def test_ground_set_size_must_be_triangular_when_tagged():
-    GroundSet(10, n_vertices=5)
-    with pytest.raises(InputError):
-        GroundSet(9, n_vertices=5)
-
 
 def test_edges_are_sorted_and_deduplicated_drops_nothing_silently():
     g = GroundSet(6)
@@ -189,28 +183,28 @@ def test_profile_n5_matches_hand_count():
     hg = cycle_family(5)
     for i in range(12):
         prof = intersection_profile(hg, i)
-        assert prof.counts == (1, 0, 5, 5, 0, 1)
-        assert sum(prof.counts) == 12
-        assert sum(t * f for t, f in enumerate(prof.counts)) == 30
+        assert prof == (1, 0, 5, 5, 0, 1)
+        assert sum(prof) == 12
+        assert sum(t * f for t, f in enumerate(prof)) == 30
 
 
 def test_profile_single_edge():
     g = GroundSet(4)
     hg = Hypergraph(g, ((0, 1, 2, 3),), r=4, semantics=DISTINCT_SETS)
-    assert intersection_profile(hg, 0).counts == (0, 0, 0, 0, 1)
+    assert intersection_profile(hg, 0) == (0, 0, 0, 0, 1)
 
 
 def test_profile_two_disjoint_edges():
     g = GroundSet(6)
     hg = Hypergraph(g, ((0, 1, 2), (3, 4, 5)), r=3, semantics=DISTINCT_SETS)
-    assert intersection_profile(hg, 0).counts == (1, 0, 0, 1)
+    assert intersection_profile(hg, 0) == (1, 0, 0, 1)
 
 
 def test_max_profile_is_pointwise_max():
     hg = cycle_family(6)
     fmax = max_profile(hg)
     for t in range(hg.r + 1):
-        assert fmax[t] == max(intersection_profile(hg, i).counts[t] for i in range(len(hg.edges)))
+        assert fmax[t] == max(intersection_profile(hg, i)[t] for i in range(len(hg.edges)))
 
 
 def test_alpha_cut_handles_float_boundaries():

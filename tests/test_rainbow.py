@@ -234,17 +234,38 @@ TRANSITIVE_SIZES = [(n, 1) for n in range(4, 9)] + [(6, 2), (7, 2), (8, 2), (8, 
 
 @pytest.mark.parametrize("semantics", [DISTINCT_SETS, LABELED_ORDERS])
 @pytest.mark.parametrize("n,k", TRANSITIVE_SIZES)
-def test_one_row_matches_the_pair_scan(n, k, semantics):
+def test_one_row_matches_the_pair_scan(n, k, semantics, monkeypatch):
+    from rainbowlab import hypergraph
+
     marked = enumerate_family(PowerParams(n, k)).hypergraph(semantics)
     plain = Hypergraph(marked.ground, marked.edges, marked.r, marked.semantics)
     assert marked.transitive and not plain.transitive
+    # the marked view takes one profile row per call, the unmarked copy |H|
+    rows = []
+    row_of = hypergraph.intersection_profile
+
+    def counting(hg, base_index):
+        rows.append(hg.transitive)
+        return row_of(hg, base_index)
+
+    monkeypatch.setattr(hypergraph, "intersection_profile", counting)
+
+    def rows_taken():
+        taken = rows[:]
+        rows.clear()
+        return taken
+
     budget = len(plain) ** 2
     q = k * n + 2
     got = exact_second_moment(marked, q, pair_budget=budget).to_json()
+    assert rows_taken() == [True]
     assert got == exact_second_moment(plain, q, pair_budget=budget).to_json()
+    assert rows_taken() == [False] * len(plain)
     kappa = n ** (1 / k)
     got = asdict(required_k0(marked, kappa, 1 / 3, pair_budget=budget))
+    assert rows_taken() == [True]
     want = asdict(required_k0(plain, kappa, 1 / 3, pair_budget=budget))
+    assert rows_taken() == [False] * len(plain)
     assert json.dumps(got) == json.dumps(want)
 
 
