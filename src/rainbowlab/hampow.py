@@ -21,7 +21,8 @@ import struct
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, combinations, groupby, permutations
+from itertools import chain, combinations, compress, islice, permutations
+from operator import ne
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import BudgetError, InputError
@@ -97,10 +98,13 @@ def orders_fit(n: int, budget: int) -> bool:
 
 
 def canonical_orders(n: int) -> Iterator[tuple[int, ...]]:
-    """All cyclic orders with first entry 0 and second entry < last entry."""
-    for rest in permutations(range(1, n)):
-        if rest[0] < rest[-1]:
-            yield (0,) + rest
+    """All cyclic orders with first entry 0 and second entry < last entry, in
+    lexicographic order (none for n = 2); built at once, so within the budget."""
+    if n < 2:
+        raise InputError(f"cyclic orders need n >= 2 vertices, got n={n}")
+    if not orders_fit(n, DEFAULT_ORDER_BUDGET):
+        raise BudgetError(f"[{n}] has {order_count(n)} canonical orders, over the budget {DEFAULT_ORDER_BUDGET}")
+    return struct.iter_unpack(f"{n}B", _order_bytes(n))
 
 
 def _power_table(n: int, k: int) -> tuple[list[list[int | None]], tuple[tuple[int, int], ...]]:
@@ -155,44 +159,77 @@ class PowerFamily:
         return self._views[semantics]
 
 
-# enumeration packs a*n + b into one byte, so n*n <= 256
+# the byte kernels need a vertex or position (< n) to leave room for the
+# reject flag 128, a*n + b < n*n <= 256 for positions a, b, and pair_id + 1
+# <= n(n-1)/2 <= 120 for an edge: so n <= 16
 _MAX_ENUMERATION_N = 16
 
 # families, and the orders every k of one n shares, are memoized up to
 # this many orders
 _CACHE_ORDERS = 400_000
 _family_cache: dict[tuple[int, int], PowerFamily] = {}
-_orders_cache: dict[int, tuple[tuple[tuple[int, ...], ...], bytes]] = {}
+_orders_cache: dict[int, tuple[tuple[tuple[int, ...], ...], list[bytes]]] = {}
 
 
-def _batch_powers(buf: bytes, n: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """The sorted power of every order of [n], from one pass over their bytes.
+def _order_bytes(n: int) -> bytes:
+    """The canonical orders of [n] back to back, n bytes each, in the order
+    canonical_orders yields them.
 
-    buf holds the orders back to back, n bytes each.  For a link offset j,
-    tail holds each order rotated by j within its n bytes, so where buf holds
-    a, tail holds the b that the link (i, i+j) joins it to.  Scaling buf's
-    bytes to a*n and adding tail as one big integer gives a*n + b in every
-    byte (no byte carries, as a*n + b < n*n <= 256), and a translate table
-    maps that to pair_id(a, b).  The k columns interleave into kn bytes per
-    order, which unpack to the powers.
-
-    The kn ids are distinct for every order once they are for one: each
-    order relabels the identity power by a bijection of [n].
+    Block s holds the orders 0, s, ...: a template of the records 0, n-1, p
+    for the permutations p of 1..n-2 in lexicographic order, translated by
+    x -> x + (x >= s) on 1..n-2 and n-1 -> s.  A record whose last entry is
+    <= s is not canonical: a big-integer multiply spreads its flag 128 over
+    its n bytes, an add sets it (entries are < n <= 16, so no byte carries),
+    and one translate deletes every byte >= 128.
     """
-    scale = bytes(x * n if x < n else 0 for x in range(256))
-    ids = bytes(pair_id(*divmod(x, n)) if x < n * n and x // n != x % n else 0 for x in range(256))
-    head = int.from_bytes(buf.translate(scale), "big")
-    kn = k * n
-    out = bytearray(len(buf) * k)
-    for j in range(1, k + 1):
-        tail = bytearray(len(buf))
-        for i in range(n):
-            tail[i::n] = buf[(i + j) % n::n]
-        joined = (head + int.from_bytes(tail, "big")).to_bytes(len(buf), "big")
-        out[j - 1::k] = joined.translate(ids)
-    powers = tuple(map(tuple, map(sorted, struct.iter_unpack(f"{kn}B", out))))
-    assert len(set(powers[0])) == kn, "power must have exactly kn edges for n >= 2k+2"
-    return powers
+    template = bytes(chain.from_iterable(map((0, n - 1).__add__, permutations(range(1, n - 1)))))
+    blocks = []
+    for s in range(1, n):
+        block = template.translate(bytes([0, *range(1, s), *range(s + 1, n), s, *range(n, 256)]))
+        flags = bytearray(len(block))
+        flags[n - 1::n] = block[n - 1::n].translate(b"\x80" * (s + 1) + bytes(255 - s))
+        flagged = int.from_bytes(block, "big") + int.from_bytes(flags, "big") * int.from_bytes(b"\1" * n, "big")
+        blocks.append(flagged.to_bytes(len(block), "big"))
+    return b"".join(blocks).translate(None, bytes(range(128, 256)))
+
+
+def _positions(buf: bytes, n: int) -> list[bytes]:
+    """pos[v] holds the position of vertex v in each order of buf, one byte
+    per order.  Translating column i of buf by v -> i, else 0, marks where it
+    holds v; each order holds v in one column, so the big-integer sum of the
+    marks over the columns i >= 1 (column 0 holds 0) is the position, < n."""
+    cols = [buf[i::n] for i in range(1, n)]
+    return [
+        sum(int.from_bytes(col.translate(bytes(v) + bytes([i]) + bytes(255 - v)), "big")
+            for i, col in enumerate(cols, 1)).to_bytes(len(buf) // n, "big")
+        for v in range(n)
+    ]
+
+
+def _batch_powers(pos: list[bytes], n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """The sorted power of every order of [n], from its inverse positions.
+
+    For each pair {a, b}, one big-integer add gives pos[a]*n + pos[b] < n*n
+    <= 256 in each byte (no carry); a translate maps it to pair_id(a, b) + 1
+    <= 120 where a and b lie within cyclic distance k, else to 0, as column
+    pair_id of an indicator with n(n-1)/2 bytes per order.  Deleting its zeros
+    and subtracting 1 leaves each order's power ascending, kn bytes each.
+    """
+    m = len(pos[0])
+    pairs = n * (n - 1) // 2
+    scale = bytes(range(0, n * n, n)) + bytes(256 - n)
+    head = [int.from_bytes(p.translate(scale), "big") for p in pos]
+    tail = [int.from_bytes(p, "big") for p in pos]
+    near = bytes(0 < min((b - a) % n, (a - b) % n) <= k for a in range(n) for b in range(n)) + bytes(256 - n * n)
+    indicator = bytearray(pairs * m)
+    for pid in range(pairs):
+        a, b = pair_of(pid)
+        table = near.replace(b"\1", bytes([pid + 1]))
+        indicator[pid::pairs] = (head[a] + tail[b]).to_bytes(m, "big").translate(table)
+    ids = indicator.translate(bytes([0, *range(255)]), b"\0")
+    del indicator, head, tail  # before the tuples, which set the peak
+    assert len(ids) == k * n * m, "power must have exactly kn edges for n >= 2k+2"
+    return tuple(struct.iter_unpack(f"{k * n}B", ids))
 
 
 def enumerate_family(params: PowerParams, budget: int = DEFAULT_ORDER_BUDGET) -> PowerFamily:
@@ -200,7 +237,7 @@ def enumerate_family(params: PowerParams, budget: int = DEFAULT_ORDER_BUDGET) ->
 
     Results for small (n, k) are memoized, and every k shares the orders of
     one n.  The budget guards the (n-1)!/2 blowup, and n <= 16 the byte
-    kernel, before any work happens.
+    kernels, before any work happens.
     """
     n, k = params.n, params.k
     if not orders_fit(n, budget):
@@ -220,18 +257,19 @@ def enumerate_family(params: PowerParams, budget: int = DEFAULT_ORDER_BUDGET) ->
 
     shared = _orders_cache.get(n)
     if shared is None:
-        orders = tuple(canonical_orders(n))
-        shared = orders, bytes(chain.from_iterable(orders))
-    orders, buf = shared
-    order_sets = _batch_powers(buf, n, k)
+        buf = _order_bytes(n)
+        shared = tuple(struct.iter_unpack(f"{n}B", buf)), _positions(buf, n)
+    orders, pos = shared
+    order_sets = _batch_powers(pos, n, k)
     # timsort rides the runs of the enumeration order; equal powers end up
-    # adjacent, and groupby keeps the first of each
-    distinct = [power for power, _ in groupby(sorted(order_sets))]
+    # adjacent, and compress keeps the first of each run
+    ranked = sorted(order_sets)
+    distinct = tuple(compress(ranked, chain((True,), map(ne, ranked, islice(ranked, 1, None)))))
     fam = PowerFamily(
         params=params,
         orders=orders,
         order_sets=order_sets,
-        edge_sets=tuple(distinct),
+        edge_sets=distinct,
         collisions=len(orders) - len(distinct),
     )
     if len(orders) <= _CACHE_ORDERS:

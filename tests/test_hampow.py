@@ -20,9 +20,12 @@ from rainbowlab.hampow import (
     AuditRow,
     PowerFamily,
     PowerParams,
+    _batch_powers,
     _ends,
     _ExtensionCounter,
     _member_tallies,
+    _order_bytes,
+    _positions,
     _prop2_rows,
     _shape,
     audit_prop1,
@@ -111,6 +114,58 @@ def test_canonical_orders_are_canonical_and_complete(n):
         assert sorted(o) == list(range(n))
 
 
+def test_canonical_orders_need_two_vertices():
+    for n in (0, 1):
+        with pytest.raises(InputError, match="n >= 2"):
+            canonical_orders(n)
+    assert list(canonical_orders(2)) == [] and order_count(2) == 0
+
+
+def test_canonical_orders_stop_past_the_default_budget(monkeypatch):
+    # the orders are built at once, so a call past the budget must refuse
+    # before it allocates them
+    import rainbowlab.hampow as hampow
+
+    def building(*args):
+        raise AssertionError("canonical_orders built orders past the budget")
+
+    monkeypatch.setattr(hampow, "_order_bytes", building)
+    with pytest.raises(BudgetError, match="1814400 canonical orders"):
+        canonical_orders(11)
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_order_bytes_match_the_itertools_definition(n):
+    def itertools_orders(n):
+        for rest in permutations(range(1, n)):
+            if rest[0] < rest[-1]:
+                yield (0,) + rest
+
+    assert _order_bytes(n) == bytes(x for order in itertools_orders(n) for x in order)
+
+
+@pytest.mark.parametrize("n", range(11, 17))
+def test_power_kernels_match_power_edge_set_up_to_16_vertices(n):
+    # random canonical orders reach the byte limits the full families of
+    # n <= 10 cannot: a*n + b up to 255 and pair_id + 1 up to 120
+    rng = random.Random(n)
+    orders = []
+    for _ in range(300):
+        rest = rng.sample(range(1, n), n - 1)
+        orders.append((0, *(rest if rest[0] < rest[-1] else rest[::-1])))
+    pos = _positions(bytes(x for order in orders for x in order), n)
+    assert pos == [bytes(o.index(v) for o in orders) for v in range(n)]
+    for k in range(1, (n - 2) // 2 + 1):
+        assert _batch_powers(pos, n, k) == tuple(power_edge_set(o, k) for o in orders)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_ten_vertex_powers_match_power_edge_set_on_a_sample(k):
+    fam = enumerate_family(PowerParams(10, k))
+    for i in random.Random(10 + k).sample(range(len(fam.orders)), 2000):
+        assert fam.order_sets[i] == power_edge_set(fam.orders[i], k)
+
+
 def test_power_edge_set_matches_definition():
     for n, k in [(5, 1), (6, 2), (8, 3)]:
         for order in list(canonical_orders(n))[:20]:
@@ -137,7 +192,7 @@ def test_family_counts():
     assert len(fam61.edge_sets) == 60
 
 
-@pytest.mark.parametrize("n,k", [(7, 1), (7, 2), (8, 3)])
+@pytest.mark.parametrize("n,k", [(7, 1), (7, 2), (8, 3), (10, 4)])
 def test_edge_sets_are_the_sorted_distinct_powers(n, k):
     fam = enumerate_family(PowerParams(n, k))
     assert fam.edge_sets == tuple(sorted(set(fam.order_sets)))
@@ -257,6 +312,7 @@ def test_enumeration_stops_past_16_vertices_whatever_the_budget(monkeypatch):
         raise AssertionError("enumeration started past its byte range")
 
     monkeypatch.setattr(hampow, "canonical_orders", enumerating)
+    monkeypatch.setattr(hampow, "_order_bytes", enumerating)
     with pytest.raises(BudgetError, match="n <= 16"):
         enumerate_family(PowerParams(17, 1), budget=10**20)
 
@@ -269,6 +325,7 @@ def test_audits_never_enumerate_orders(monkeypatch):
 
     monkeypatch.setattr(hampow, "enumerate_family", enumerating)
     monkeypatch.setattr(hampow, "canonical_orders", enumerating)
+    monkeypatch.setattr(hampow, "_order_bytes", enumerating)
     audit_prop1(7, 1)
     assert audit_structure(8, 2).ok
     assert audit_prop2_reading_a(9, 1).ok
@@ -846,3 +903,19 @@ def test_labeled_family_text_is_frozen():
     fam = enumerate_family(PowerParams(6, 2))
     text = format_hypergraph_text(fam.hypergraph(LABELED_ORDERS))
     assert _digest(text) == "70aba3499e41df6d36d8e0e0892d54b8cd4957204708da59bd5d5e53f27e1543"
+
+
+FAMILY_TEXT_DIGESTS = {
+    (9, 1, DISTINCT_SETS): "a0304dab484890afc1595f5e607a1f3808d6e2a3a5b9bc90cc0a2e7eab643df2",
+    (9, 1, LABELED_ORDERS): "2b3aee5d8d5dbe8a0eb6c141649264443725206bc02dad55c9d5e96f673dbbba",
+    (9, 2, DISTINCT_SETS): "b0fd68de5b329775561e87c3467cabcd2b991a75eec7dd96042c7ca90b2c9ec8",
+    (9, 2, LABELED_ORDERS): "12d29ded842b70ad3444cb5953cb83b80be5abef7a67b326330f271dea2169ff",
+    (8, 3, DISTINCT_SETS): "f37c67c411555a29ad1dfeaeeedca4d0882a64ba48cb00c7de933dcda2855963",
+    (8, 3, LABELED_ORDERS): "0a4868c078b03c85fca15b0a176b7de8d79ae247b0c9de23f441dce3b459a079",
+}
+
+
+@pytest.mark.parametrize("n,k,semantics", list(FAMILY_TEXT_DIGESTS))
+def test_family_text_is_frozen(n, k, semantics):
+    text = format_hypergraph_text(enumerate_family(PowerParams(n, k)).hypergraph(semantics))
+    assert _digest(text) == FAMILY_TEXT_DIGESTS[(n, k, semantics)]
