@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
 from . import fragments, hampow, rainbow, threshold
 from .errors import BudgetError, InputError
 from .hypergraph import (
+    DEFAULT_PAIR_BUDGET,
     DISTINCT_SETS,
     LABELED_ORDERS,
     intersection_profile,
@@ -296,7 +296,7 @@ def cmd_fragment(args) -> int:
 def cmd_threshold(args) -> int:
     _need(args, "n")
     seed = _resolve_seed(args)
-    q = args.q if args.q is not None else math.ceil(1.1 * args.k * args.n)
+    q = args.q if args.q is not None else rainbow.default_color_count(args.k * args.n, 0.1)
     config = threshold.ExperimentConfig(
         n=args.n,
         k=args.k,
@@ -326,7 +326,7 @@ def cmd_search(args) -> int:
         if args.n is None or args.m is None:
             raise InputError("give either --input FILE or all of --n, --m (with --k, --q)")
         seed = _resolve_seed(args)
-        q = args.q if args.q is not None else math.ceil(1.1 * args.k * args.n)
+        q = args.q if args.q is not None else rainbow.default_color_count(args.k * args.n, 0.1)
         from .seeding import make_rng
 
         inst = threshold.sample_instance(args.n, args.k, q, args.m, make_rng(seed, 0x696E_7374))
@@ -440,7 +440,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     add_semantics(p, input_file=True)
     p.add_argument("--alpha", type=float, default=1 / 3, help="profile cut fraction")
     p.add_argument("--kappa", type=float, default=None, help="spread parameter (default: n^(1/k))")
-    p.add_argument("--pair-budget", type=int, default=4_000_000, help="member-pair budget")
+    p.add_argument("--pair-budget", type=int, default=DEFAULT_PAIR_BUDGET, help="member-pair budget")
     p.set_defaults(func=cmd_profile)
 
     audit_work = "work budget: member subgraphs walked plus placement-search nodes"
@@ -472,7 +472,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     add_semantics(p)
     p.add_argument("--trials", type=int, default=100_000, help="Monte Carlo colorings (0: exact only)")
     p.add_argument("--seed", type=int, default=None, action=_Given, help="master seed")
-    p.add_argument("--pair-budget", type=int, default=4_000_000, help="member-pair budget")
+    p.add_argument("--pair-budget", type=int, default=DEFAULT_PAIR_BUDGET, help="member-pair budget")
     p.set_defaults(func=cmd_moments)
 
     p = add("fragment", "run the two-round exposure process once, or sweep omega")

@@ -51,7 +51,6 @@ __all__ = [
     "TwoRoundRecord",
     "default_omega",
     "sample_w0",
-    "min_fragment",
     "classify_fragments",
     "run_third_stage",
     "expected_nu_r",
@@ -163,19 +162,10 @@ class FragmentRecord:
     good: bool
 
 
-def min_fragment(
-    hstar: Hypergraph, astar_index: int, w0: Sequence[int], omega: int
-) -> FragmentRecord:
-    """Scan H* for the member inside A* u W0 leaving the fewest elements uncovered."""
-    if not 0 <= astar_index < len(hstar.edges):
-        raise InputError(f"member index {astar_index} out of range")
-    return _min_fragment(hstar, astar_index, _mask_of(w0, hstar.ground), omega)
-
-
 def _min_fragment(hstar: Hypergraph, astar_index: int, w0_mask: int, omega: int) -> FragmentRecord:
-    """min_fragment for a member index in range and W0 as a checked bitmask."""
-    if omega < 1:
-        raise InputError(f"omega must be >= 1, got {omega}")
+    """Scan H* for the member inside A* u W0 leaving the fewest elements
+    uncovered, for a member index in range, W0 as a checked bitmask and
+    omega >= 1."""
     masks = hstar.masks
     allowed = masks[astar_index] | w0_mask
 
@@ -217,9 +207,11 @@ class ClassificationOutcome:
 
 def classify_fragments(hstar: Hypergraph, w0: Sequence[int], omega: int) -> ClassificationOutcome:
     """Minimum fragments for every member of H*; empty H* is degenerate, not an error."""
+    if omega < 1:
+        raise InputError(f"omega must be >= 1, got {omega}")
     if not hstar.edges:
         return ClassificationOutcome(records=(), success=False, bad_count=0, degenerate=True)
-    # every member shares W0: its mask is built and checked once
+    # every member shares W0 and omega: both are checked once
     w0_mask = _mask_of(w0, hstar.ground)
     records = tuple(_min_fragment(hstar, i, w0_mask, omega) for i in range(len(hstar.edges)))
     bad = sum(1 for rec in records if not rec.good)
@@ -373,7 +365,8 @@ def run_two_round(config: TwoRoundConfig) -> TwoRoundRecord:
     run the second exposure.  Each stage draws from its own derived stream, so
     the record is byte-identical across replays of the same seed.
 
-    A coloring with no rainbow member is recorded as degenerate.  A good
+    A coloring with no rainbow member is recorded as degenerate: its
+    exposures accept and find nothing.  A good
     fragment with ell = 0 means some member already sits inside W0; the trial
     then exits early with found_rainbow set.
     """
@@ -389,19 +382,6 @@ def run_two_round(config: TwoRoundConfig) -> TwoRoundRecord:
         mode=config.coloring_mode,
     )
 
-    if not hstar.edges:
-        return TwoRoundRecord(
-            **base,
-            success=False,
-            bad_count=0,
-            bad_fraction=None,
-            histogram={},
-            nu_r=0,
-            found_rainbow=False,
-            degenerate=True,
-            early_exit=False,
-        )
-
     w0 = sample_w0(config.n_elements, config.m, make_rng(config.seed, _STREAM_W0))
     outcome = classify_fragments(hstar, w0, config.omega_resolved)
     common = dict(
@@ -409,7 +389,7 @@ def run_two_round(config: TwoRoundConfig) -> TwoRoundRecord:
         bad_count=outcome.bad_count,
         bad_fraction=outcome.bad_fraction,
         histogram=outcome.histogram,
-        degenerate=False,
+        degenerate=outcome.degenerate,
     )
 
     if any(rec.good and rec.ell == 0 for rec in outcome.records):

@@ -38,8 +38,6 @@ __all__ = [
     "AuditReport",
     "order_count",
     "orders_fit",
-    "canonical_orders",
-    "power_edge_set",
     "enumerate_family",
     "prop1_bound",
     "prop2_bound",
@@ -97,16 +95,6 @@ def orders_fit(n: int, budget: int) -> bool:
     return n <= _MAX_ENUMERATION_N and order_count(n) <= budget
 
 
-def canonical_orders(n: int) -> Iterator[tuple[int, ...]]:
-    """All cyclic orders with first entry 0 and second entry < last entry, in
-    lexicographic order (none for n = 2); built at once, so within the budget."""
-    if n < 2:
-        raise InputError(f"cyclic orders need n >= 2 vertices, got n={n}")
-    if not orders_fit(n, DEFAULT_ORDER_BUDGET):
-        raise BudgetError(f"[{n}] has {order_count(n)} canonical orders, over the budget {DEFAULT_ORDER_BUDGET}")
-    return struct.iter_unpack(f"{n}B", _order_bytes(n))
-
-
 def _power_table(n: int, k: int) -> tuple[list[list[int | None]], tuple[tuple[int, int], ...]]:
     """pid[a][b] = pair_id(a, b), and the position links (i, i+j mod n), j = 1..k."""
     pid = [[pair_id(a, b) if a != b else None for b in range(n)] for a in range(n)]
@@ -124,8 +112,7 @@ def _power_of(order: Sequence[int], pid, links) -> tuple[int, ...]:
 def power_edge_set(order: Sequence[int], k: int) -> tuple[int, ...]:
     """Sorted element ids of the k-th power of the given cyclic order."""
     n = len(order)
-    if n < 2 * k + 2:
-        raise InputError(f"need n >= 2k+2 = {2 * k + 2}, got n={n}")
+    PowerParams(n, k)
     if sorted(order) != list(range(n)):
         raise InputError("order must be a permutation of 0..n-1")
     return _power_of(order, *_power_table(n, k))
@@ -164,16 +151,15 @@ class PowerFamily:
 # <= n(n-1)/2 <= 120 for an edge: so n <= 16
 _MAX_ENUMERATION_N = 16
 
-# families, and the orders every k of one n shares, are memoized up to
-# this many orders
-_CACHE_ORDERS = 400_000
+# families, and the orders every k of one n shares, are memoized where they
+# fit the default enumeration budget (n <= 10)
 _family_cache: dict[tuple[int, int], PowerFamily] = {}
 _orders_cache: dict[int, tuple[tuple[tuple[int, ...], ...], list[bytes]]] = {}
 
 
 def _order_bytes(n: int) -> bytes:
-    """The canonical orders of [n] back to back, n bytes each, in the order
-    canonical_orders yields them.
+    """The canonical orders of [n] back to back, n bytes each: first entry 0
+    and second entry < last entry, in lexicographic order (none for n = 2).
 
     Block s holds the orders 0, s, ...: a template of the records 0, n-1, p
     for the permutations p of 1..n-2 in lexicographic order, translated by
@@ -272,7 +258,7 @@ def enumerate_family(params: PowerParams, budget: int = DEFAULT_ORDER_BUDGET) ->
         edge_sets=distinct,
         collisions=len(orders) - len(distinct),
     )
-    if len(orders) <= _CACHE_ORDERS:
+    if orders_fit(n, DEFAULT_ORDER_BUDGET):
         _orders_cache[n] = shared
         _family_cache[(n, k)] = fam
     return fam

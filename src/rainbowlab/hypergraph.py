@@ -24,9 +24,13 @@ from .errors import BudgetError, InputError
 DISTINCT_SETS = "distinct-sets"
 LABELED_ORDERS = "labeled-orders"
 
+# member pairs a profile scan (moments, K0) may tally unless told otherwise
+DEFAULT_PAIR_BUDGET = 4_000_000
+
 __all__ = [
     "DISTINCT_SETS",
     "LABELED_ORDERS",
+    "DEFAULT_PAIR_BUDGET",
     "GroundSet",
     "Hypergraph",
     "SpreadReport",
@@ -282,7 +286,7 @@ def _profile_rows(hg: Hypergraph, pair_budget: int, what: str) -> Counter[tuple[
     return rows
 
 
-def max_profile(hg: Hypergraph, pair_budget: int = 10_000_000) -> tuple[int, ...]:
+def max_profile(hg: Hypergraph, pair_budget: int = DEFAULT_PAIR_BUDGET) -> tuple[int, ...]:
     """fmax[t] = max over base edges of the t-entry of the intersection profile."""
     return tuple(map(max, zip(*_profile_rows(hg, pair_budget, "profile scan"))))
 
@@ -331,7 +335,7 @@ def required_k0(
     hg: Hypergraph,
     kappa: float,
     alpha: float,
-    pair_budget: int = 10_000_000,
+    pair_budget: int = DEFAULT_PAIR_BUDGET,
 ) -> K0Report:
     if not hg.edges:
         raise InputError("K0 audit is undefined for an empty family")

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .errors import BudgetError, InputError
-from .hypergraph import Hypergraph, _profile_rows, _view, alpha_cut
+from .hypergraph import DEFAULT_PAIR_BUDGET, Hypergraph, _profile_rows, _view, alpha_cut
 from .seeding import make_rng
 
 __all__ = [
@@ -54,10 +54,14 @@ def falling(a: int, b: int) -> int:
 
 
 def default_color_count(r: int, epsilon1: float) -> int:
-    """Palette size ceil((1 + epsilon1) * r) used when q is not given."""
+    """Palette size ceil((1 + epsilon1) * r) used when q is not given.
+
+    The product arrives as a float, and e.g. 1.1 * 50 evaluates to
+    55.00000000000001; the 1e-9 nudge of alpha_cut absorbs that error.
+    """
     if not 0 < epsilon1 < math.inf:
         raise InputError(f"epsilon1 must be positive and finite, got {epsilon1}")
-    return math.ceil((1 + epsilon1) * r)
+    return math.ceil((1 + epsilon1) * r - 1e-9)
 
 
 @dataclass(frozen=True)
@@ -149,7 +153,7 @@ class RainbowStats:
 _MAX_DENOMINATOR_BITS = 1 << 16
 
 
-def exact_second_moment(hg: Hypergraph, q: int, pair_budget: int = 4_000_000) -> RainbowStats:
+def exact_second_moment(hg: Hypergraph, q: int, pair_budget: int = DEFAULT_PAIR_BUDGET) -> RainbowStats:
     """Exact E(Z) and E(Z^2) from the pairwise intersection tally: n_t ordered
     member pairs meet in exactly t elements."""
     if q < 1:
@@ -268,7 +272,7 @@ def empirical_moments(
     q: int,
     trials: int,
     seed: int,
-    pair_budget: int = 4_000_000,
+    pair_budget: int = DEFAULT_PAIR_BUDGET,
 ) -> MomentReport:
     """Sample mean/variance of Z over seeded colorings, with exact comparison.
 

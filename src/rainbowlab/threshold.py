@@ -23,6 +23,7 @@ outputs unless explicitly requested.
 
 from __future__ import annotations
 
+import functools
 import math
 import multiprocessing
 import threading
@@ -31,6 +32,7 @@ from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 from .errors import InputError
+from .hampow import PowerParams
 from .hypergraph import _int_lines, pair_id, pair_of
 from .seeding import make_rng
 
@@ -83,8 +85,7 @@ class Instance:
 
 def sample_instance(n: int, k: int, q: int, m: int, rng) -> Instance:
     """Uniform m-subset of K_n's edge slots with independent uniform colors."""
-    if k < 1:
-        raise InputError(f"power k must be >= 1, got {k}")
+    PowerParams(n, k)
     big_n = n * (n - 1) // 2
     if not 0 <= m <= big_n:
         raise InputError(f"m={m} out of range 0..{big_n}")
@@ -130,8 +131,7 @@ def rainbow_power_search(
     """
     t0 = time.perf_counter()
     n, k = inst.n, inst.k
-    if n < 2 * k + 2:
-        raise InputError(f"need n >= 2k+2 = {2 * k + 2}, got n={n}")
+    PowerParams(n, k)
     if budget < 1:
         raise InputError(f"node budget must be >= 1, got {budget}")
 
@@ -267,8 +267,7 @@ class ExperimentConfig:
     require_rainbow: bool = True
 
     def __post_init__(self):
-        if self.k < 1:
-            raise InputError(f"power k must be >= 1, got {self.k}")
+        PowerParams(self.n, self.k)
         if (self.c_grid is None) == (self.m_grid is None):
             raise InputError("provide exactly one of c_grid or m_grid")
         if self.c_grid is not None and not self.c_grid:
@@ -281,8 +280,6 @@ class ExperimentConfig:
             raise InputError(f"workers must be >= 1, got {self.workers}")
         if self.q < 1:
             raise InputError(f"palette size q must be >= 1, got {self.q}")
-        if self.n < 2 * self.k + 2:
-            raise InputError(f"need n >= 2k+2 = {2 * self.k + 2}, got n={self.n}")
         self.points()  # checks every C or m value
 
     @property
@@ -388,18 +385,18 @@ class GridResults:
         return cls(config=config, rows=tuple(rows))
 
 
-def _run_task(task: tuple) -> tuple[int, int, int, int, float]:
-    """One (point, trial) unit: sample the instance, run the search.
+def _run_task(config: ExperimentConfig, task: tuple[int, int, int]) -> tuple[int, int, float]:
+    """One (point index, m, trial index) unit: sample the instance, run the
+    search, and return (verdict, nodes, seconds), verdict -1 when undecided.
 
     Top-level so process pools can pickle it.  The generator key folds in the
     point and trial indices, making results independent of scheduling.
     """
-    n, k, q, m, budget, require_rainbow, master_seed, point_idx, trial_idx = task
-    rng = make_rng(master_seed, point_idx, trial_idx)
-    inst = sample_instance(n, k, q, m, rng)
-    res = rainbow_power_search(inst, require_rainbow=require_rainbow, budget=budget)
-    verdict = -1 if res.found is None else int(res.found)
-    return point_idx, trial_idx, verdict, res.nodes, res.elapsed
+    point_idx, m, trial_idx = task
+    rng = make_rng(config.seed, point_idx, trial_idx)
+    inst = sample_instance(config.n, config.k, config.q, m, rng)
+    res = rainbow_power_search(inst, require_rainbow=config.require_rainbow, budget=config.budget)
+    return -1 if res.found is None else int(res.found), res.nodes, res.elapsed
 
 
 def run_grid(config: ExperimentConfig) -> GridResults:
@@ -411,42 +408,28 @@ def run_grid(config: ExperimentConfig) -> GridResults:
     package starts no threads; a fork could copy a lock that another thread
     holds, so the workers are spawned instead where the caller runs threads
     or the platform cannot fork.  Each task seeds its own generator and
-    results are reduced in task order, so the rows do not depend on the
-    worker count or the start method.
+    results come back in task order, so point p owns the slice of trials
+    p*T .. (p+1)*T - 1, and the rows do not depend on the worker count or the
+    start method.
     """
     points = config.points()
-    tasks = [
-        (
-            config.n,
-            config.k,
-            config.q,
-            m,
-            config.budget,
-            config.require_rainbow,
-            config.seed,
-            point_idx,
-            trial_idx,
-        )
-        for point_idx, (_, m) in enumerate(points)
-        for trial_idx in range(config.trials)
-    ]
+    trials = config.trials
+    tasks = [(point_idx, m, trial_idx) for point_idx, (_, m) in enumerate(points) for trial_idx in range(trials)]
+    run = functools.partial(_run_task, config)
     if config.workers == 1:
-        outcomes = [_run_task(t) for t in tasks]
+        outcomes = list(map(run, tasks))
     else:
         fork = threading.active_count() == 1 and "fork" in multiprocessing.get_all_start_methods()
         ctx = multiprocessing.get_context("fork" if fork else "spawn")
         chunk = max(1, len(tasks) // (config.workers * 8))
         with ctx.Pool(min(config.workers, len(tasks))) as pool:
-            outcomes = pool.map(_run_task, tasks, chunksize=chunk)
+            outcomes = pool.map(run, tasks, chunksize=chunk)
 
     rows = []
     for point_idx, (c_value, m) in enumerate(points):
-        mine = [o for o in outcomes if o[0] == point_idx]
-        successes = sum(1 for o in mine if o[2] == 1)
-        unknown = sum(1 for o in mine if o[2] == -1)
-        decided = len(mine) - unknown
-        mean_nodes = sum(o[3] for o in mine) / len(mine)
-        mean_ms = 1000.0 * sum(o[4] for o in mine) / len(mine)
+        mine = outcomes[point_idx * trials:(point_idx + 1) * trials]
+        verdicts = [o[0] for o in mine]
+        unknown = verdicts.count(-1)
         rows.append(
             GridRow(
                 n=config.n,
@@ -454,12 +437,12 @@ def run_grid(config: ExperimentConfig) -> GridResults:
                 q=config.q,
                 m=m,
                 C=c_value,
-                trials=len(mine),
-                decided=decided,
-                successes=successes,
+                trials=trials,
+                decided=trials - unknown,
+                successes=verdicts.count(1),
                 unknown=unknown,
-                mean_nodes=mean_nodes,
-                mean_ms=mean_ms,
+                mean_nodes=sum(o[1] for o in mine) / trials,
+                mean_ms=1000.0 * sum(o[2] for o in mine) / trials,
                 seed=config.seed,
             )
         )

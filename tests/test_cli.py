@@ -203,6 +203,16 @@ def test_threshold_saturates_a_c_past_the_float_range(capsys, tmp_path):
     assert [(row["C"], row["m"]) for row in rows] == [(1e308, 15)]
 
 
+def test_threshold_default_palette_is_the_exact_ceiling(capsys, tmp_path):
+    # ceil(1.1 k n) at k n = 50 is 55, though 1.1 * 50 lands just above it
+    code, _, err = run_cli(
+        capsys, "threshold", "--n", "50", "--k", "1", "--m-grid", "10", "--trials", "1",
+        "--seed", "1", "--no-svg", "--out-dir", str(tmp_path),
+    )
+    assert code == 0, err
+    assert strict_json((tmp_path / "summary.json").read_text())["config"]["q"] == 55
+
+
 def test_moments_rejects_an_infinite_epsilon1(capsys):
     code, out, err = run_cli(capsys, "moments", "--n", "6", "--k", "1", "--epsilon1", "inf", "--trials", "0")
     assert_one_error_line(code, out, err)
@@ -407,12 +417,13 @@ def test_cli_stdout_digests(capsys, command):
 def test_audit_chain_exact_ratios_by_hand(capsys):
     # f_t / |H|: the share of the 360 orders of [7] whose power meets the
     # identity cycle in exactly t edges, counted over raw permutations
-    from rainbowlab.hampow import canonical_orders, power_edge_set
+    from rainbowlab.hampow import power_edge_set
+    from tests.test_hampow import itertools_orders
 
     code, out, err = run_cli(capsys, "audit-chain", "--n", "7", "--k", "1")
     assert code == 0, err
     base = set(power_edge_set(tuple(range(7)), 1))
-    meets = Counter(len(base & set(power_edge_set(o, 1))) for o in canonical_orders(7))
+    meets = Counter(len(base & set(power_edge_set(o, 1))) for o in itertools_orders(7))
     rows = strict_json(out)["rows"]
     assert [row["t"] for row in rows] == [1, 2]
     for row in rows:

@@ -1,5 +1,7 @@
 """Two-round exposure process: fragments, classification, acceptance."""
 
+import hashlib
+import json
 import math
 
 import pytest
@@ -14,7 +16,6 @@ from rainbowlab.fragments import (
     classify_fragments,
     default_omega,
     expected_nu_r,
-    min_fragment,
     run_third_stage,
     run_two_round,
     sample_w0,
@@ -130,7 +131,7 @@ def test_min_fragment_picks_smallest_leftover():
     # W0 = {1, 2, 3}: member 0 leaves {0}, member 1 leaves {}, member 2 leaves
     # {4, 5}, member 3 leaves {0, 4}.  For A* = member 0 the candidates are
     # those inside A* u W0 = {0,1,2,3}: members 0 and 1; member 1 wins with 0
-    rec = min_fragment(hstar, 0, (1, 2, 3), omega=2)
+    rec = classify_fragments(hstar, (1, 2, 3), omega=2).records[0]
     assert rec.source_index == 1
     assert rec.ell == 0
     assert rec.t_star == ()
@@ -140,7 +141,7 @@ def test_min_fragment_picks_smallest_leftover():
 def test_min_fragment_self_when_nothing_better():
     hstar = toy_hstar()
     # A* = member 2 = {3,4,5}, W0 = {3}: only member 2 fits inside A* u W0
-    rec = min_fragment(hstar, 2, (3,), omega=3)
+    rec = classify_fragments(hstar, (3,), omega=3).records[2]
     assert rec.source_index == 2
     assert rec.ell == 2
     assert rec.t_star == (4, 5)
@@ -150,7 +151,7 @@ def test_min_fragment_tie_goes_to_smallest_index():
     hstar = toy_hstar()
     # A* = member 1, W0 = {0,3}: members 0 and 1 both fit inside {0,1,2,3}
     # with leftover {1,2}; the scan keeps the first
-    rec = min_fragment(hstar, 1, (0, 3), omega=3)
+    rec = classify_fragments(hstar, (0, 3), omega=3).records[1]
     assert rec.ell == 2
     assert rec.source_index == 0
     assert rec.t_star == (1, 2)
@@ -158,8 +159,7 @@ def test_min_fragment_tie_goes_to_smallest_index():
 
 def test_min_fragment_fragment_avoids_w0():
     hstar = toy_hstar()
-    for idx in range(4):
-        rec = min_fragment(hstar, idx, (0, 3), omega=3)
+    for idx, rec in enumerate(classify_fragments(hstar, (0, 3), omega=3).records):
         assert not set(rec.t_star) & {0, 3}
         assert rec.ell == len(rec.t_star)
         assert rec.ell <= len(set(hstar.edges[idx]) - {0, 3})
@@ -168,11 +168,9 @@ def test_min_fragment_fragment_avoids_w0():
 def test_min_fragment_validates_inputs():
     hstar = toy_hstar()
     with pytest.raises(InputError):
-        min_fragment(hstar, 99, (0,), omega=1)
+        classify_fragments(hstar, (0,), omega=0)
     with pytest.raises(InputError):
-        min_fragment(hstar, 0, (0,), omega=0)
-    with pytest.raises(InputError):
-        min_fragment(hstar, 0, (17,), omega=1)
+        classify_fragments(hstar, (17,), omega=1)
 
 
 # ----------------------------------------------------------------------------
@@ -236,6 +234,13 @@ def test_classify_empty_family_is_degenerate():
     assert out.degenerate
     assert not out.success
     assert out.bad_fraction is None
+    assert out.bad_count == 0 and out.histogram == {}
+
+
+def test_classify_checks_omega_before_the_empty_family():
+    empty = Hypergraph(GroundSet(6), (), r=3, semantics=DISTINCT_SETS)
+    with pytest.raises(InputError, match="omega must be >= 1, got 0"):
+        classify_fragments(empty, (0, 1), omega=0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -357,3 +362,20 @@ def test_run_two_round_upfront_mode_runs():
     rec = run_two_round(cfg)
     assert rec.mode == UPFRONT
     assert rec.nu_r >= 0
+
+
+def test_two_round_records_are_pinned():
+    """1,800 records at (7, 1), omega 2, C 4, epsilon1 0.5: seeds 0..299 in
+    both modes at q = 7, 8 and 9, of which 300 are degenerate."""
+    digest = hashlib.sha256()
+    degenerate = 0
+    for q in (7, 8, 9):
+        for mode in (UPFRONT, STAGED):
+            for seed in range(300):
+                cfg = TwoRoundConfig(q=q, C=4.0, epsilon1=0.5, seed=seed, params=PowerParams(7, 1),
+                                     omega=2, coloring_mode=mode)
+                rec = run_two_round(cfg)
+                degenerate += rec.degenerate
+                digest.update(json.dumps(rec.to_json(), sort_keys=True).encode() + b"\n")
+    assert degenerate == 300
+    assert digest.hexdigest() == "cc950f3847ddab34b0ab089cd8ce2c1872a4d6fc573c265e53ccda59d50b66fc"

@@ -32,7 +32,6 @@ from rainbowlab.hampow import (
     audit_prop2_reading_a,
     audit_prop2_reading_b,
     audit_structure,
-    canonical_orders,
     component_tally,
     enumerate_family,
     f_chain_bound,
@@ -50,6 +49,14 @@ from rainbowlab.hypergraph import (
     pair_id,
     pair_of,
 )
+
+
+def itertools_orders(n):
+    """The canonical cyclic orders of [n] by definition: first entry 0 and
+    second entry < last entry, from raw permutations in lexicographic order."""
+    for rest in permutations(range(1, n)):
+        if rest[0] < rest[-1]:
+            yield (0,) + rest
 
 
 def raw_power_edges(order, k):
@@ -101,11 +108,12 @@ def test_order_count():
     assert order_count(5) == 12
     assert order_count(6) == 60
     assert order_count(7) == 360
+    assert order_count(2) == 0 and list(itertools_orders(2)) == []
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_canonical_orders_are_canonical_and_complete(n):
-    orders = list(canonical_orders(n))
+    orders = list(itertools_orders(n))
     assert len(orders) == order_count(n)
     assert len(set(orders)) == len(orders)
     for o in orders:
@@ -114,33 +122,8 @@ def test_canonical_orders_are_canonical_and_complete(n):
         assert sorted(o) == list(range(n))
 
 
-def test_canonical_orders_need_two_vertices():
-    for n in (0, 1):
-        with pytest.raises(InputError, match="n >= 2"):
-            canonical_orders(n)
-    assert list(canonical_orders(2)) == [] and order_count(2) == 0
-
-
-def test_canonical_orders_stop_past_the_default_budget(monkeypatch):
-    # the orders are built at once, so a call past the budget must refuse
-    # before it allocates them
-    import rainbowlab.hampow as hampow
-
-    def building(*args):
-        raise AssertionError("canonical_orders built orders past the budget")
-
-    monkeypatch.setattr(hampow, "_order_bytes", building)
-    with pytest.raises(BudgetError, match="1814400 canonical orders"):
-        canonical_orders(11)
-
-
 @pytest.mark.parametrize("n", range(3, 11))
 def test_order_bytes_match_the_itertools_definition(n):
-    def itertools_orders(n):
-        for rest in permutations(range(1, n)):
-            if rest[0] < rest[-1]:
-                yield (0,) + rest
-
     assert _order_bytes(n) == bytes(x for order in itertools_orders(n) for x in order)
 
 
@@ -168,7 +151,7 @@ def test_ten_vertex_powers_match_power_edge_set_on_a_sample(k):
 
 def test_power_edge_set_matches_definition():
     for n, k in [(5, 1), (6, 2), (8, 3)]:
-        for order in list(canonical_orders(n))[:20]:
+        for order in list(itertools_orders(n))[:20]:
             got = power_edge_set(order, k)
             assert got == raw_power_edges(order, k)
             assert len(got) == k * n
@@ -179,6 +162,12 @@ def test_power_edge_set_rejects_non_permutations():
         power_edge_set((0, 1, 2, 2, 4, 5), 1)
     with pytest.raises(InputError):
         power_edge_set((0, 1, 2), 1)  # n < 2k+2
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_power_edge_set_refuses_k_below_one(k):
+    with pytest.raises(InputError, match=f"power k must be >= 1, got {k}"):
+        power_edge_set((0, 1, 2, 3), k)
 
 
 def test_family_counts():
@@ -297,7 +286,7 @@ BATCH_SIZES = (
 @pytest.mark.parametrize("n,k", BATCH_SIZES)
 def test_batch_kernel_matches_power_edge_set(n, k):
     fam = enumerate_family(PowerParams(n, k))
-    assert fam.orders == tuple(canonical_orders(n))
+    assert fam.orders == tuple(itertools_orders(n))
     assert fam.order_sets == tuple(power_edge_set(o, k) for o in fam.orders)
 
 
@@ -311,7 +300,6 @@ def test_enumeration_stops_past_16_vertices_whatever_the_budget(monkeypatch):
     def enumerating(*args, **kwargs):
         raise AssertionError("enumeration started past its byte range")
 
-    monkeypatch.setattr(hampow, "canonical_orders", enumerating)
     monkeypatch.setattr(hampow, "_order_bytes", enumerating)
     with pytest.raises(BudgetError, match="n <= 16"):
         enumerate_family(PowerParams(17, 1), budget=10**20)
@@ -324,7 +312,6 @@ def test_audits_never_enumerate_orders(monkeypatch):
         raise AssertionError("an audit enumerated the canonical orders")
 
     monkeypatch.setattr(hampow, "enumerate_family", enumerating)
-    monkeypatch.setattr(hampow, "canonical_orders", enumerating)
     monkeypatch.setattr(hampow, "_order_bytes", enumerating)
     audit_prop1(7, 1)
     assert audit_structure(8, 2).ok
@@ -438,7 +425,7 @@ def test_count_extensions_single_edge_n9():
 
 def test_count_extensions_brute_force_n6():
     labeled = enumerate_family(PowerParams(6, 1)).hypergraph(LABELED_ORDERS)
-    orders = list(canonical_orders(6))
+    orders = list(itertools_orders(6))
     for t_ids in list(combinations(range(15), 2))[:40]:
         want = sum(1 for o in orders if set(t_ids) <= set(power_edge_set(o, 1)))
         assert count_superedges(labeled, t_ids) == want
@@ -463,7 +450,7 @@ def test_count_extensions_empty_subgraph_counts_everything():
 
 def test_component_tally_reading_a_matches_brute_force():
     for n, k in [(7, 1), (9, 2), (10, 3)]:
-        member = power_edge_set(next(canonical_orders(n)), k)
+        member = power_edge_set(next(itertools_orders(n)), k)
         for t_set in (member[:3], member[-4:], member[::3][:4]):
             t = len(t_set)
             tally = component_tally(t_set, t, reading="a")
@@ -517,7 +504,7 @@ def test_component_tally_reading_a_requires_exact_size():
 
 def test_component_tally_reading_b_matches_brute_force():
     cases = [
-        (next(canonical_orders(6)), 1, 2),
+        (next(itertools_orders(6)), 1, 2),
         ((0, 2, 4, 1, 6, 3, 5), 1, 3),
         ((0, 3, 1, 6, 2, 5, 4), 2, 3),
         (tuple(range(8)), 3, 2),

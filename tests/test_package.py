@@ -80,12 +80,11 @@ def test_unused_import_scan_sees_a_dead_import():
     assert _unused_imports(source) == ["line 1: math", "line 2: Iterator"]
 
 
-def _unread_private_names(sources: dict[str, str]) -> list[str]:
-    """Private top-level names a module defines that no module reads: not as
-    a loaded name, an attribute or an imported name."""
-    trees = {module: ast.parse(source) for module, source in sources.items()}
+def _read_names(trees) -> set[str]:
+    """Every name the trees read: as a loaded name, an attribute or an
+    imported name."""
     read: set[str] = set()
-    for tree in trees.values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 read.add(node.id)
@@ -93,6 +92,13 @@ def _unread_private_names(sources: dict[str, str]) -> list[str]:
                 read.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 read.update(alias.name for alias in node.names)
+    return read
+
+
+def _unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Private top-level names a module defines that no module reads."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = _read_names(trees.values())
     found = []
     for module, tree in trees.items():
         for node in tree.body:
@@ -136,3 +142,61 @@ def test_private_name_scan_sees_a_dead_definition():
         "a.py line 3: _typed",
         "a.py line 6: _Gone",
     ]
+
+
+# exported functions that no package or benchmark code reads, with the reason
+# each stays public
+EXPORT_EXCEPTIONS = {
+    "expected_nu_r": "acceptance criterion 7 checks it; no CLI report reads it yet",
+}
+
+
+def _unread_exports(sources: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """Functions a module lists in __all__ that neither the package (outside
+    their def and __all__ entry) nor the readers read.  Tests are no readers:
+    a function only tests call is no public surface."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = _read_names([*trees.values(), *map(ast.parse, readers.values())])
+    found = []
+    for module, tree in trees.items():
+        exported = {
+            elt.value
+            for node in tree.body
+            if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for elt in node.value.elts
+        }
+        found.extend(
+            f"{module} line {node.lineno}: {node.name}"
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name in exported and node.name not in read
+        )
+    return found
+
+
+def test_every_exported_function_feeds_the_package_or_the_benchmark():
+    package = Path(rainbowlab.__file__).parent
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    readers = {path.name: path.read_text() for path in sorted(bench.glob("*.py"))}
+    unread = _unread_exports(sources, readers)
+    assert [line.rsplit(" ", 1)[1] for line in unread] == sorted(EXPORT_EXCEPTIONS), unread
+
+
+def test_export_scan_sees_an_unread_export():
+    sources = {
+        "a.py": (
+            "__all__ = ['LIMIT', 'Kind', 'used', 'dead', 'benched']\n"
+            "LIMIT = 3\n"
+            "class Kind:\n"
+            "    pass\n"
+            "def used():\n"
+            "    return LIMIT\n"
+            "def dead():\n"
+            "    return used()\n"
+            "def benched():\n"
+            "    pass\n"
+        ),
+        "b.py": "from .a import Kind\n",
+    }
+    assert _unread_exports(sources, {"run.py": "import rl\nrl.benched()\n"}) == ["a.py line 7: dead"]
+    assert _unread_exports(sources, {}) == ["a.py line 7: dead", "a.py line 9: benched"]

@@ -71,6 +71,13 @@ def test_default_color_count():
     assert default_color_count(10, 0.1) == 11
     assert default_color_count(5, 0.5) == 8
     assert default_color_count(5, 1e-9) == 6  # strictly more than r
+    # 1.1 * 50 is 55.00000000000001 and 1.1 * 90 is 99.00000000000001
+    assert default_color_count(50, 0.1) == 55
+    assert default_color_count(90, 0.1) == 99
+
+
+def test_default_color_count_is_the_exact_ceiling_at_a_tenth():
+    assert [default_color_count(r, 0.1) for r in range(5001)] == [-(-11 * r // 10) for r in range(5001)]
 
 
 @pytest.mark.parametrize("eps", [0.0, -0.5, math.nan, math.inf])

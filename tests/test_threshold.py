@@ -6,6 +6,7 @@ ordering.  Golden CSV bytes pin the report format and the seeding chain.
 """
 
 import dataclasses
+import hashlib
 import math
 import multiprocessing
 import threading
@@ -313,6 +314,9 @@ def test_sample_instance_checks_q_before_drawing():
     # k comes first: at k = 0 the default palette ceil(1.1kn) is 0 as well
     with pytest.raises(InputError, match="power k must be >= 1, got 0"):
         sample_instance(6, 0, 0, 15, NoDraws())
+    # an instance the search would refuse is refused before it is drawn
+    with pytest.raises(InputError, match="need n >= 2k\\+2 = 6"):
+        sample_instance(5, 2, 11, 8, NoDraws())
 
 
 def test_config_points_from_m_grid_sorted_and_deduped():
@@ -445,6 +449,37 @@ GOLDEN_CSV = (
 def test_csv_golden_bytes():
     cfg = ExperimentConfig(n=6, k=1, q=8, trials=6, seed=2, m_grid=(6, 10), budget=200)
     assert format_csv(run_grid(cfg)) == GOLDEN_CSV
+
+
+# SHA-256 of results.csv, summary.json and curves.svg for a c-grid and an
+# m-grid (with a budget that leaves some verdicts unknown) at (8, 1), q = 9;
+# summary.json echoes the worker count, so it has one pin per count
+REPORT_GRIDS = {
+    "c": dict(c_grid=(2.0, 4.0, 6.0, 8.0)),
+    "m": dict(m_grid=(9, 14, 20, 28), budget=60),
+}
+REPORT_DIGESTS = {
+    ("c", 1): ("30bae269b5162a4f15afff9a1b51b3894808804f8bd595cf013a71dcaa24d7c1",
+               "cbce7a03577b2294bb9c2c8dac68ce7f35ef07ca91c5de052560fd9aad2c747e",
+               "9b7fd39e4f5b3ffe388b384ec56f7ecd1a48751f50d734db8c6529470460feb3"),
+    ("c", 2): ("30bae269b5162a4f15afff9a1b51b3894808804f8bd595cf013a71dcaa24d7c1",
+               "02dc1b64ecb163afa111ecc9656baa270e347f041fced96e8aa7e72d3163002d",
+               "9b7fd39e4f5b3ffe388b384ec56f7ecd1a48751f50d734db8c6529470460feb3"),
+    ("m", 1): ("684f46d377ee5ca6e970b5501adf5014b4891fd770cf613665398723dacd5c80",
+               "13f2373161a285175022f404de1467d003d3fb4f1bec8a27a9f5ad28e8688dad",
+               "b9cdb3f4e9234e06523323042a3099596a0e9cf4cf445a00587f64ebda1c2c83"),
+    ("m", 2): ("684f46d377ee5ca6e970b5501adf5014b4891fd770cf613665398723dacd5c80",
+               "aca955d5ec333a47cac13961610af17d28968af60e867ea3fa856252dfcc72fc",
+               "b9cdb3f4e9234e06523323042a3099596a0e9cf4cf445a00587f64ebda1c2c83"),
+}
+
+
+@pytest.mark.parametrize("grid,workers", list(REPORT_DIGESTS))
+def test_report_files_are_pinned(tmp_path, grid, workers):
+    cfg = ExperimentConfig(n=8, k=1, q=9, trials=12, seed=19, workers=workers, **REPORT_GRIDS[grid])
+    paths = emit_report(run_grid(cfg), tmp_path)
+    assert [p.name for p in paths] == ["results.csv", "summary.json", "curves.svg"]
+    assert tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in paths) == REPORT_DIGESTS[grid, workers]
 
 
 def test_csv_blank_cells_when_nothing_decided():
