@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import fragments, hampow, rainbow, threshold
 from .errors import BudgetError, InputError
@@ -31,18 +32,23 @@ from .seeding import mix
 DEFAULT_SEED = 1729
 
 
-def _ints(text: str) -> list[int]:
-    try:
-        return [int(p) for p in text.split(",") if p.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+def _list_of(kind, what: str):
+    """A flag type for comma-separated values; an empty list is refused."""
+
+    def parse(text: str) -> list:
+        try:
+            values = [kind(p) for p in text.split(",") if p.strip()]
+        except ValueError:
+            values = []
+        if not values:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got {text!r}")
+        return values
+
+    return parse
 
 
-def _floats(text: str) -> list[float]:
-    try:
-        return [float(p) for p in text.split(",") if p.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+_ints = _list_of(int, "integers")
+_floats = _list_of(float, "numbers")
 
 
 def _resolve_seed(args) -> int:
@@ -50,19 +56,6 @@ def _resolve_seed(args) -> int:
         print(f"note: --seed not given, using fixed seed {DEFAULT_SEED}", file=sys.stderr)
         return DEFAULT_SEED
     return args.seed
-
-
-def _need(args, dest: str) -> None:
-    if getattr(args, dest) is None:
-        raise InputError(f"--{dest} is required (as a flag or a config key)")
-
-
-def _refuse(args, mode: str, *flags: str) -> None:
-    """Refuse a flag registered with `_Given` that `mode` would ignore, when
-    the command line or the config gives it."""
-    for flag in flags:
-        if flag in getattr(args, "given", ()):
-            raise InputError(f"{flag} does not apply {mode}")
 
 
 def _emit(payload: dict, args, filename: str) -> None:
@@ -92,10 +85,7 @@ def _read_text(path: Path) -> str:
 def _load_hypergraph(args):
     """Either an explicit file or the (n, k) power family, as chosen by flags."""
     if getattr(args, "input", None):
-        _refuse(args, "with --input", "--n", "--k", "--budget")
         return read_hypergraph_text(_read_text(Path(args.input)), semantics=args.semantics)
-    if args.n is None:
-        raise InputError("give either --input FILE or --n (with --k)")
     return _family(args).hypergraph(args.semantics)
 
 
@@ -103,7 +93,6 @@ def _load_hypergraph(args):
 # handlers
 
 def cmd_family(args) -> int:
-    _need(args, "n")
     fam = _family(args)
     payload = {
         "n": args.n,
@@ -145,12 +134,8 @@ def cmd_spread(args) -> int:
 
 def cmd_profile(args) -> int:
     hg = _load_hypergraph(args)
-    if args.kappa is not None:
-        kappa = args.kappa
-    elif args.input:
-        raise InputError("--kappa is required with --input (no nominal value to fall back on)")
-    else:
-        kappa = float(args.n) ** (1.0 / args.k)
+    # the mode check asks a file for --kappa: it has no nominal n^(1/k)
+    kappa = args.kappa if args.kappa is not None else float(args.n) ** (1.0 / args.k)
     report = required_k0(hg, kappa, args.alpha, pair_budget=args.pair_budget)
     payload = {
         "kappa": report.kappa,
@@ -166,21 +151,15 @@ def cmd_profile(args) -> int:
 
 
 def cmd_audit_prop1(args) -> int:
-    _need(args, "n")
     report = hampow.audit_prop1(args.n, args.k, budget=args.budget)
     _emit(report.to_json(), args, f"audit_prop1_n{args.n}_k{args.k}.json")
     return 0
 
 
 def cmd_audit_prop2(args) -> int:
-    other_reading = {"a": ("--n-min", "--n-max"), "b": ("--budget",)}[args.reading]
-    _refuse(args, f"to reading ({args.reading})", *other_reading)
     if args.reading == "a":
-        _need(args, "n")
         report = hampow.audit_prop2_reading_a(args.n, args.k, budget=args.budget)
     else:
-        if args.n is not None:
-            raise InputError("reading (b) takes its n range from --n-min/--n-max, not --n")
         if args.k >= 1 and args.n_min < 2 * args.k + 2:
             raise InputError(
                 f"--n-min must be at least 2k+2 = {2 * args.k + 2} for --k {args.k}, got {args.n_min}"
@@ -192,7 +171,6 @@ def cmd_audit_prop2(args) -> int:
 
 
 def cmd_audit_chain(args) -> int:
-    _need(args, "n")
     params = hampow.PowerParams(args.n, args.k)
     t_max = args.t_max if args.t_max is not None else params.t_max
     if args.t_max is not None and not 1 <= t_max <= params.t_max:
@@ -213,13 +191,8 @@ def cmd_audit_chain(args) -> int:
 
 
 def cmd_moments(args) -> int:
-    _need(args, "n")
     if args.trials < 0:
         raise InputError("--trials must be >= 0 (0 runs the exact moments only)")
-    if args.trials == 0:
-        _refuse(args, "with --trials 0", "--seed")
-    if args.q is not None:
-        _refuse(args, "with --q", "--epsilon1")
     fam = _family(args)
     hg = fam.hypergraph(args.semantics)
     q = args.q if args.q is not None else rainbow.default_color_count(hg.r, args.epsilon1)
@@ -251,15 +224,12 @@ def _fragment_config(args, seed: int, omega=None) -> fragments.TwoRoundConfig:
 
 
 def cmd_fragment(args) -> int:
-    _need(args, "n")
     seed = _resolve_seed(args)
     if args.sweep is None:
-        _refuse(args, "without --sweep", "--sweep-trials")
         record = fragments.run_two_round(_fragment_config(args, seed))
         _emit(record.to_json(), args, f"fragment_n{args.n}_k{args.k}.json")
         return 0
 
-    _refuse(args, "with --sweep", "--omega")
     omegas = sorted(set(args.sweep))
     if any(w < 1 for w in omegas):
         raise InputError("--sweep values must be >= 1")
@@ -294,7 +264,6 @@ def cmd_fragment(args) -> int:
 
 
 def cmd_threshold(args) -> int:
-    _need(args, "n")
     seed = _resolve_seed(args)
     q = args.q if args.q is not None else rainbow.default_color_count(args.k * args.n, 0.1)
     config = threshold.ExperimentConfig(
@@ -303,8 +272,8 @@ def cmd_threshold(args) -> int:
         q=q,
         trials=args.trials,
         seed=seed,
-        c_grid=tuple(args.c_grid) if args.c_grid else None,
-        m_grid=tuple(args.m_grid) if args.m_grid else None,
+        c_grid=tuple(args.c_grid) if args.c_grid is not None else None,
+        m_grid=tuple(args.m_grid) if args.m_grid is not None else None,
         budget=args.budget,
         workers=args.workers,
         require_rainbow=not args.no_rainbow,
@@ -320,11 +289,8 @@ def cmd_threshold(args) -> int:
 
 def cmd_search(args) -> int:
     if args.input:
-        _refuse(args, "with --input", "--n", "--k", "--m", "--q", "--seed")
         inst = threshold.read_instance_text(_read_text(Path(args.input)))
     else:
-        if args.n is None or args.m is None:
-            raise InputError("give either --input FILE or all of --n, --m (with --k, --q)")
         seed = _resolve_seed(args)
         q = args.q if args.q is not None else rainbow.default_color_count(args.k * args.n, 0.1)
         from .seeding import make_rng
@@ -345,7 +311,6 @@ def cmd_search(args) -> int:
 
 
 def cmd_report(args) -> int:
-    _need(args, "input")
     path = Path(args.input)
     try:
         data = json.loads(_read_text(path))
@@ -366,15 +331,6 @@ def cmd_report(args) -> int:
 
 # ----------------------------------------------------------------------------
 # parser
-
-class _Given(argparse.Action):
-    """Store the value and add the flag to the namespace's `given` set, so a
-    handler can tell a flag on the command line from its default."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
-        namespace.given = getattr(namespace, "given", frozenset()) | {option_string}
-
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
@@ -401,14 +357,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         registry[name] = p
         return p
 
-    def add_nk(p, **kwargs):
-        # not argparse-required: a --config file may supply it, so presence is
-        # checked after the merge
-        p.add_argument("--n", type=int, default=None, help="number of vertices", **kwargs)
-        p.add_argument("--k", type=int, default=1, help="power of the Hamilton cycle", **kwargs)
+    def add_nk(p):
+        # not argparse-required: a --config file may supply it, so the mode
+        # check asks for it after the merge
+        p.add_argument("--n", type=int, default=None, help="number of vertices")
+        p.add_argument("--k", type=int, default=1, help="power of the Hamilton cycle")
 
-    def add_budget(p, help_text="enumeration budget (cyclic orders)", **kwargs):
-        p.add_argument("--budget", type=int, default=hampow.DEFAULT_ORDER_BUDGET, help=help_text, **kwargs)
+    def add_budget(p, help_text="enumeration budget (cyclic orders)"):
+        p.add_argument("--budget", type=int, default=hampow.DEFAULT_ORDER_BUDGET, help=help_text)
 
     def add_semantics(p, input_file=False, help_text="member identity for the family"):
         if input_file:
@@ -428,15 +384,15 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.set_defaults(func=cmd_family)
 
     p = add("spread", "compute the spread constant kappa_s of a family")
-    add_nk(p, action=_Given)
-    add_budget(p, action=_Given)
+    add_nk(p)
+    add_budget(p)
     p.add_argument("--smax", type=int, default=1, help="largest subset size to scan")
     add_semantics(p, input_file=True)
     p.set_defaults(func=cmd_spread)
 
     p = add("profile", "intersection profile and the least workable K0 for a family")
-    add_nk(p, action=_Given)
-    add_budget(p, action=_Given)
+    add_nk(p)
+    add_budget(p)
     add_semantics(p, input_file=True)
     p.add_argument("--alpha", type=float, default=1 / 3, help="profile cut fraction")
     p.add_argument("--kappa", type=float, default=None, help="spread parameter (default: n^(1/k))")
@@ -452,10 +408,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p = add("audit-prop2", "audit the component-count bound, reading (a) or (b)")
     add_nk(p)
-    add_budget(p, audit_work + " (reading (a) only)", action=_Given)
+    add_budget(p, audit_work + " (reading (a) only)")
     p.add_argument("--reading", choices=["a", "b"], default="a", help="which reading to audit")
-    p.add_argument("--n-min", type=int, default=4, action=_Given, help="first n for reading (b)")
-    p.add_argument("--n-max", type=int, default=22, action=_Given, help="last n for reading (b)")
+    p.add_argument("--n-min", type=int, default=4, help="first n for reading (b)")
+    p.add_argument("--n-max", type=int, default=22, help="last n for reading (b)")
     p.set_defaults(func=cmd_audit_prop2)
 
     p = add("audit-chain", "profile-ratio chain bound versus exact ratios")
@@ -468,10 +424,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     add_nk(p)
     add_budget(p)
     p.add_argument("--q", type=int, default=None, help="palette size (default: ceil((1+eps1) r))")
-    p.add_argument("--epsilon1", type=float, default=0.1, action=_Given, help="palette surplus when --q is omitted")
+    p.add_argument("--epsilon1", type=float, default=0.1, help="palette surplus when --q is omitted")
     add_semantics(p)
     p.add_argument("--trials", type=int, default=100_000, help="Monte Carlo colorings (0: exact only)")
-    p.add_argument("--seed", type=int, default=None, action=_Given, help="master seed")
+    p.add_argument("--seed", type=int, default=None, help="master seed")
     p.add_argument("--pair-budget", type=int, default=DEFAULT_PAIR_BUDGET, help="member-pair budget")
     p.set_defaults(func=cmd_moments)
 
@@ -481,7 +437,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--q", type=int, default=None, help="palette size (default: ceil((1+eps1) r))")
     p.add_argument("--C", type=float, default=1.0, help="first-round exposure constant")
     p.add_argument("--epsilon1", type=float, default=0.1, help="acceptance slack")
-    p.add_argument("--omega", type=int, default=None, action=_Given, help="fragment cutoff (default: ceil(r^(1/3)))")
+    p.add_argument("--omega", type=int, default=None, help="fragment cutoff (default: ceil(r^(1/3)))")
     p.add_argument(
         "--mode",
         choices=[fragments.UPFRONT, fragments.STAGED],
@@ -490,7 +446,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     )
     p.add_argument("--seed", type=int, default=None, help="master seed")
     p.add_argument("--sweep", type=_ints, default=None, metavar="W1,W2,...", help="omega values to sweep")
-    p.add_argument("--sweep-trials", type=int, default=100, action=_Given, help="runs per omega during a sweep")
+    p.add_argument("--sweep-trials", type=int, default=100, help="runs per omega during a sweep")
     p.set_defaults(func=cmd_fragment)
 
     p = add("threshold", "success-rate grid over exposure sizes, with CSV/JSON/SVG reports")
@@ -512,11 +468,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.set_defaults(func=cmd_threshold, out_dir="out")
 
     p = add("search", "decide one instance: rainbow Hamilton power present, absent, or unknown")
-    add_nk(p, action=_Given)
-    p.add_argument("--q", type=int, default=None, action=_Given, help="palette size (default: ceil(1.1 k n))")
-    p.add_argument("--m", type=int, default=None, action=_Given, help="edges to sample when no --input")
+    add_nk(p)
+    p.add_argument("--q", type=int, default=None, help="palette size (default: ceil(1.1 k n))")
+    p.add_argument("--m", type=int, default=None, help="edges to sample when no --input")
     p.add_argument("--input", metavar="FILE", default=None, help="instance file to decide")
-    p.add_argument("--seed", type=int, default=None, action=_Given, help="master seed for sampling")
+    p.add_argument("--seed", type=int, default=None, help="master seed for sampling")
     p.add_argument("--budget", type=int, default=1_000_000, help="search node budget")
     p.add_argument("--no-rainbow", action="store_true", help="ignore colors, decide bare containment")
     p.set_defaults(func=cmd_search)
@@ -529,6 +485,77 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.set_defaults(func=cmd_report, out_dir="out")
 
     return parser, registry
+
+
+# ----------------------------------------------------------------------------
+# modes
+
+class _Mode(NamedTuple):
+    """One way a command runs, on when `when(args)` holds: each flag in
+    `unread` is refused when given, and each flag in `needs` must be set.
+    The phrase completes "X does not apply ..." and "X is required ..."."""
+
+    command: str
+    phrase: str
+    unread: tuple[str, ...] = ()
+    needs: tuple[str, ...] = ()
+    when: Callable[[argparse.Namespace], bool] = lambda args: True
+
+
+# the modes of every command; several can be on at once (moments with
+# --trials 0 and --q), and the check reads each one that is on.  Every
+# command with --n also needs it, unless a mode that is on leaves it unread.
+MODES = (
+    _Mode("family", "without --write-text", ("--semantics",), when=lambda a: not a.write_text),
+    _Mode("spread", "in spread, which writes no report", ("--out-dir",)),
+    _Mode("spread", "with --input", ("--n", "--k", "--budget"), when=lambda a: bool(a.input)),
+    # a file has no nominal kappa n^(1/k) to fall back on
+    _Mode(
+        "profile", "with --input", ("--n", "--k", "--budget"), ("--kappa",), when=lambda a: bool(a.input)
+    ),
+    _Mode("audit-prop2", "in reading (a)", ("--n-min", "--n-max"), when=lambda a: a.reading == "a"),
+    _Mode(
+        "audit-prop2",
+        "in reading (b), which takes n from --n-min to --n-max",
+        ("--n", "--budget"),
+        when=lambda a: a.reading == "b",
+    ),
+    _Mode("moments", "with --trials 0", ("--seed",), when=lambda a: a.trials == 0),
+    _Mode("moments", "with --q", ("--epsilon1",), when=lambda a: a.q is not None),
+    _Mode("fragment", "with --sweep", ("--omega",), when=lambda a: a.sweep is not None),
+    _Mode("fragment", "without --sweep", ("--sweep-trials",), when=lambda a: a.sweep is None),
+    _Mode("search", "in search, which writes no report", ("--out-dir",)),
+    _Mode(
+        "search", "with --input", ("--n", "--k", "--m", "--q", "--seed"), when=lambda a: bool(a.input)
+    ),
+    _Mode("search", "without --input", needs=("--m",), when=lambda a: not a.input),
+    _Mode("report", "in report", needs=("--input",)),
+)
+
+
+def _given(subparser: argparse.ArgumentParser, argv: list[str]) -> set[str]:
+    """The flags on the command line, in full, abbreviated or as --flag=value,
+    even at their default: the ones that overwrite a marker set for each."""
+    unset = object()
+    marked = argparse.Namespace(**{a.dest: unset for a in subparser._actions})
+    probe = subparser.parse_args(argv, marked)
+    return {a.option_strings[0] for a in subparser._actions if getattr(probe, a.dest) is not unset}
+
+
+def _check_modes(args, given: set[str]) -> None:
+    """Refuse a given flag that a mode that is on leaves unread, and a missing
+    flag that one needs, before any handler runs."""
+    on = [mode for mode in MODES if mode.command == args.subcommand and mode.when(args)]
+    if hasattr(args, "n") and not any("--n" in mode.unread for mode in on):
+        phrase = "without --input" if hasattr(args, "input") else f"in {args.subcommand}"
+        on.insert(0, _Mode(args.subcommand, phrase, needs=("--n",)))
+    for mode in on:
+        for flag in mode.unread:
+            if flag in given:
+                raise InputError(f"{flag} does not apply {mode.phrase}")
+        for flag in mode.needs:
+            if getattr(args, flag[2:].replace("-", "_")) is None:
+                raise InputError(f"{flag} is required {mode.phrase} (as a flag or a config key)")
 
 
 # flag type -> the JSON values a config key may give it, and their name
@@ -574,7 +601,7 @@ def _config_value(action: argparse.Action, key: str, value):
 def _apply_config(path_text: str, subparser: argparse.ArgumentParser) -> set[str]:
     """Make a config file's values the subcommand's defaults, each checked as
     its flag is; null keeps the default.  Returns the flags the config moves
-    off their defaults, which a handler treats as given."""
+    off their defaults, which the mode check treats as given."""
     path = Path(path_text)
     try:
         data = json.loads(_read_text(path))
@@ -597,18 +624,20 @@ def _apply_config(path_text: str, subparser: argparse.ArgumentParser) -> set[str
 
 def main(argv=None) -> int:
     parser, registry = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
+        given = _given(registry[args.subcommand], argv[1:])
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         if getattr(args, "config", None):
-            given = _apply_config(args.config, registry[args.subcommand])
+            given |= _apply_config(args.config, registry[args.subcommand])
             try:
                 args = parser.parse_args(argv)
             except SystemExit as exc:
                 return int(exc.code or 0)
-            args.given = getattr(args, "given", frozenset()) | given
+        _check_modes(args, given)
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

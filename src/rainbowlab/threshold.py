@@ -65,8 +65,9 @@ class Instance:
     edge_colors: tuple[tuple[int, int], ...]  # (element id, color), sorted by id
 
     def __post_init__(self):
-        if self.n < 2 or self.k < 1 or self.q < 1:
-            raise InputError(f"bad instance parameters n={self.n} k={self.k} q={self.q}")
+        PowerParams(self.n, self.k)
+        if self.q < 1:
+            raise InputError(f"palette size q must be >= 1, got {self.q}")
         big_n = self.n * (self.n - 1) // 2
         ids = [e for e, _ in self.edge_colors]
         if sorted(set(ids)) != sorted(ids):
@@ -131,7 +132,6 @@ def rainbow_power_search(
     """
     t0 = time.perf_counter()
     n, k = inst.n, inst.k
-    PowerParams(n, k)
     if budget < 1:
         raise InputError(f"node budget must be >= 1, got {budget}")
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from rainbowlab.cli import DEFAULT_SEED, build_parser, main
+from rainbowlab.cli import DEFAULT_SEED, MODES, build_parser, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -358,6 +358,154 @@ def test_an_ignored_flag_is_named(capsys, tmp_path, argv, given, named):
     assert code == 0, err
 
 
+# for each mode of the table, a command line that turns it on and gives every
+# flag it needs; no file named here exists, since the check runs first
+MODE_ON = {
+    ("family", "without --write-text"): ["--n", "5"],
+    ("spread", "in spread, which writes no report"): ["--n", "5"],
+    ("spread", "with --input"): ["--input", "family.txt"],
+    ("profile", "with --input"): ["--input", "family.txt", "--kappa", "2"],
+    ("audit-prop2", "in reading (a)"): ["--n", "9"],
+    ("audit-prop2", "in reading (b), which takes n from --n-min to --n-max"): ["--reading", "b"],
+    ("moments", "with --trials 0"): ["--n", "5", "--trials", "0"],
+    ("moments", "with --q"): ["--n", "5", "--q", "6"],
+    ("fragment", "with --sweep"): ["--n", "7", "--sweep", "1,2"],
+    ("fragment", "without --sweep"): ["--n", "7"],
+    ("search", "in search, which writes no report"): ["--n", "8", "--m", "20"],
+    ("search", "with --input"): ["--input", "inst.txt"],
+    ("search", "without --input"): ["--n", "8", "--m", "20"],
+    ("report", "in report"): ["--input", "summary.json"],
+}
+
+# a value off its default for each flag that a mode leaves unread
+OFF_DEFAULT = {
+    "--semantics": "labeled-orders", "--out-dir": "elsewhere", "--n": 8, "--k": 2, "--budget": 5,
+    "--n-min": 5, "--n-max": 6, "--seed": 4, "--epsilon1": 0.2, "--omega": 3, "--sweep-trials": 5,
+    "--m": 20, "--q": 9,
+}
+UNREAD = [(mode, flag) for mode in MODES for flag in mode.unread]
+NEEDED = [(mode, flag) for mode in MODES for flag in mode.needs]
+
+
+def test_every_mode_has_a_command_line():
+    assert set(MODE_ON) == {(mode.command, mode.phrase) for mode in MODES}
+    assert {flag for _, flag in UNREAD} == set(OFF_DEFAULT)
+
+
+@pytest.mark.parametrize("source", ["command line", "config"])
+@pytest.mark.parametrize("mode,flag", UNREAD, ids=[f"{m.command} {f} {m.phrase}" for m, f in UNREAD])
+def test_the_table_refuses_each_unread_flag(capsys, tmp_path, monkeypatch, mode, flag, source):
+    # on the command line at its default value where it has one; a config
+    # counts only when it moves the flag off its default
+    monkeypatch.chdir(tmp_path)
+    default = next(a.default for a in build_parser()[1][mode.command]._actions if flag in a.option_strings)
+    if source == "config":
+        (tmp_path / "cfg.json").write_text(json.dumps({flag[2:]: OFF_DEFAULT[flag]}))
+        given = ["--config", str(tmp_path / "cfg.json")]
+    else:
+        given = [flag, str(default if default is not None else OFF_DEFAULT[flag])]
+    code, out, err = run_cli(capsys, mode.command, *MODE_ON[mode.command, mode.phrase], *given)
+    assert_one_error_line(code, out, err)
+    assert f"{flag} does not apply {mode.phrase}" in err
+
+
+@pytest.mark.parametrize("mode,flag", NEEDED, ids=[f"{m.command} {f} {m.phrase}" for m, f in NEEDED])
+def test_the_table_requires_each_needed_flag(capsys, mode, flag):
+    argv = MODE_ON[mode.command, mode.phrase]
+    at = argv.index(flag)
+    code, out, err = run_cli(capsys, mode.command, *argv[:at], *argv[at + 2:])
+    assert_one_error_line(code, out, err)
+    assert f"{flag} is required {mode.phrase} (as a flag or a config key)" in err
+
+
+# every command with --n needs it, unless a mode that is on leaves it unread
+# (a file given with --input, reading (b)); MODE_ON runs those without --n
+WITH_N = sorted(name for name, p in build_parser()[1].items() if "--n" in p._option_string_actions)
+
+
+@pytest.mark.parametrize("name", WITH_N)
+def test_every_command_with_n_requires_it(capsys, name):
+    code, out, err = run_cli(capsys, name)
+    assert_one_error_line(code, out, err)
+    where = "without --input" if name in ("spread", "profile", "search") else f"in {name}"
+    assert f"--n is required {where} (as a flag or a config key)" in err
+
+
+# a flag counts as given however argparse lets it be spelled
+SPELLINGS = [
+    (EXACT_MOMENTS + ["--see", "4"], "--seed does not apply with --trials 0"),
+    (EXACT_MOMENTS + ["--epsilon1=0.1"], "--epsilon1 does not apply with --q"),
+    (FRAGMENT_ONCE + ["--sweep-tr=100"], "--sweep-trials does not apply without --sweep"),
+]
+
+
+@pytest.mark.parametrize("argv,named", SPELLINGS, ids=[argv[-1] for argv, _ in SPELLINGS])
+def test_an_abbreviated_or_joined_flag_is_given(capsys, argv, named):
+    code, out, err = run_cli(capsys, *argv)
+    assert_one_error_line(code, out, err)
+    assert named in err
+
+
+# one refused run per command, each with --out-dir: the check runs before
+# the handler, so nothing is printed, read or written
+REFUSED_RUNS = {
+    "family": ["--n", "5", "--semantics", "labeled-orders"],
+    "spread": ["--n", "6"],
+    "profile": ["--input", "family.txt"],
+    "audit-prop1": ["--k", "2"],
+    "audit-prop2": ["--reading", "b", "--n", "30"],
+    "audit-chain": ["--k", "2"],
+    "moments": ["--n", "5", "--q", "6", "--trials", "0", "--seed", "4"],
+    "fragment": ["--n", "7", "--sweep", "1,2", "--omega", "3"],
+    "threshold": ["--m-grid", "10"],
+    "search": ["--n", "8", "--m", "20", "--seed", "1"],
+    "report": ["--no-svg"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(build_parser()[1]))
+def test_a_refused_run_does_no_work(capsys, tmp_path, name):
+    code, out, err = run_cli(capsys, name, *REFUSED_RUNS[name], "--out-dir", str(tmp_path / "D"))
+    assert_one_error_line(code, out, err)
+    assert not (tmp_path / "D").exists()
+
+
+@pytest.mark.parametrize(
+    "header,named",
+    [
+        ("5 0 3", "power k must be >= 1, got 0"),
+        ("5 2 3", "need n >= 2k+2 = 6 so the power is not complete, got n=5"),
+        ("5 1 0", "palette size q must be >= 1, got 0"),
+    ],
+)
+def test_search_input_names_bad_instance_parameters(capsys, tmp_path, header, named):
+    path = tmp_path / "inst.txt"
+    path.write_text(header + "\n")
+    code, out, err = run_cli(capsys, "search", "--input", str(path))
+    assert_one_error_line(code, out, err)
+    assert f"invalid instance: {named}" in err
+
+
+EMPTY_LISTS = [
+    (["fragment", "--n", "6", "--seed", "1"], "--sweep"),
+    (["threshold", "--n", "6", "--m-grid", "10", "--trials", "1", "--seed", "1"], "--c-grid"),
+]
+
+
+@pytest.mark.parametrize("argv,flag", EMPTY_LISTS, ids=[flag for _, flag in EMPTY_LISTS])
+def test_an_empty_list_is_refused_by_flag_and_by_config(capsys, tmp_path, argv, flag):
+    out_dir = ["--out-dir", str(tmp_path / "out")]
+    code, out, err = run_cli(capsys, *argv, flag, "", *out_dir)
+    assert code == 2 and out == ""
+    assert f"argument {flag}: expected comma-separated" in err
+    key = flag[2:].replace("-", "_")
+    (tmp_path / "cfg.json").write_text(json.dumps({key: []}))
+    code, out, err = run_cli(capsys, *argv, "--config", str(tmp_path / "cfg.json"), *out_dir)
+    assert_one_error_line(code, out, err)
+    assert f"config key '{key}': expected comma-separated" in err
+    assert not (tmp_path / "out").exists()
+
+
 # every subcommand that prints JSON, at a small size, with the exit code it
 # must give; stdout must parse without the NaN and Infinity extensions, and a
 # non-finite kappa is refused rather than printed
@@ -624,7 +772,10 @@ def test_config_of_every_default_changes_no_output(capsys, tmp_path, name):
     outputs = []
     for i, extra in enumerate([[], ["--config", str(cfg)]]):
         out_dir = tmp_path / f"out{i}"
-        code, out, err = run_cli(capsys, *argv, *extra, "--out-dir", str(out_dir))
+        # spread and search write no report, so they refuse --out-dir
+        if name not in ("spread", "search"):
+            extra = [*extra, "--out-dir", str(out_dir)]
+        code, out, err = run_cli(capsys, *argv, *extra)
         assert code == 0, err
         files = {p.name: p.read_bytes() for p in out_dir.iterdir()} if out_dir.exists() else {}
         outputs.append((out, files))
