@@ -524,6 +524,8 @@ MODES = (
     _Mode("moments", "with --q", ("--epsilon1",), when=lambda a: a.q is not None),
     _Mode("fragment", "with --sweep", ("--omega",), when=lambda a: a.sweep is not None),
     _Mode("fragment", "without --sweep", ("--sweep-trials",), when=lambda a: a.sweep is None),
+    _Mode("threshold", "with --c-grid", ("--m-grid",), when=lambda a: a.c_grid is not None),
+    _Mode("threshold", "without --c-grid", needs=("--m-grid",), when=lambda a: a.c_grid is None),
     _Mode("search", "in search, which writes no report", ("--out-dir",)),
     _Mode(
         "search", "with --input", ("--n", "--k", "--m", "--q", "--seed"), when=lambda a: bool(a.input)

@@ -139,6 +139,17 @@ class Hypergraph:
         """Each edge as a bitmask over element ids (internal fast path)."""
         return tuple(map(_mask, self.edges))
 
+    @cached_property
+    def incidence(self) -> tuple[int, ...]:
+        """Each element as a bitmask over edge indices: bit j of incidence[x]
+        is set when element x lies in edge j (internal fast path)."""
+        rows = [bytearray(len(self.edges)) for _ in range(self.ground.size)]
+        for j, e in enumerate(self.edges):
+            for x in e:
+                rows[x][j] = 1
+        # a row read backwards is its mask's binary digits, most significant first
+        return tuple(int(row[::-1].translate(_DIGITS) or b"0", 2) for row in rows)
+
 
 def _check_semantics(semantics: str) -> None:
     if semantics not in (DISTINCT_SETS, LABELED_ORDERS):
@@ -153,6 +164,10 @@ def _view(ground, edges, r, semantics, transitive=False) -> Hypergraph:
     hg = object.__new__(Hypergraph)
     vars(hg).update(ground=ground, edges=edges, r=r, semantics=semantics, transitive=transitive)
     return hg
+
+
+# bytes 0 and 1 to the ASCII digits that int(..., 2) reads
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 def _mask(ids: Iterable[int]) -> int:

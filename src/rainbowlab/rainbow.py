@@ -17,13 +17,15 @@ floats (flagged on the result).
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from itertools import compress, islice, repeat
+from typing import Iterable
 
 from .errors import BudgetError, InputError
 from .hypergraph import DEFAULT_PAIR_BUDGET, Hypergraph, _profile_rows, _view, alpha_cut
-from .seeding import make_rng
+from .seeding import trial_rngs
 
 __all__ = [
     "Coloring",
@@ -83,20 +85,28 @@ class Coloring:
 
 
 def random_coloring(size: int, q: int, rng) -> Coloring:
-    return Coloring(tuple(rng.randrange(q) for _ in range(size)), q)
+    return Coloring(tuple(map(rng.randrange, repeat(q, size))), q)
 
 
-def _rainbow(edges, cols) -> Iterator[tuple[int, ...]]:
-    """The edges whose colors in cols are pairwise distinct (a plain loop that
-    stops at the first repeat beats a set comprehension)."""
-    for e in edges:
-        seen = set()
-        for x in e:
-            if cols[x] in seen:
-                break
-            seen.add(cols[x])
-        else:
-            yield e
+def _repeats(incidence: tuple[int, ...], colors: Iterable[int], q: int) -> int:
+    """Bitmask of the members, by index, in which some color appears twice.
+
+    One pass over the ground set: seen[c] holds the members that an element
+    of color c already lies in, so a member meeting c again is caught by one
+    AND of |H|-bit masks.  A list indexes fastest; a palette larger than the
+    ground set gets a dict, so memory stays linear in the ground set.
+    """
+    seen = [0] * q if q <= len(incidence) else defaultdict(int)
+    bad = 0
+    for c, inc in zip(colors, incidence):
+        s = seen[c]
+        bad |= s & inc
+        seen[c] = s | inc
+    return bad
+
+
+# bin() digits as compress selectors
+_SELECT = bytes.maketrans(b"01", b"\0\1")
 
 
 def rainbow_subfamily(hg: Hypergraph, coloring: Coloring) -> Hypergraph:
@@ -110,7 +120,10 @@ def rainbow_subfamily(hg: Hypergraph, coloring: Coloring) -> Hypergraph:
         raise InputError(
             f"coloring covers {len(coloring)} elements, ground set has {hg.ground.size}"
         )
-    return _view(hg.ground, tuple(_rainbow(hg.edges, coloring.colors)), hg.r, hg.semantics)
+    kept = ~_repeats(hg.incidence, coloring.colors, coloring.q) & ((1 << len(hg.edges)) - 1)
+    # bin() reversed lists bit j at index j, and stops at the top kept member
+    edges = tuple(compress(hg.edges, bin(kept)[:1:-1].encode().translate(_SELECT)))
+    return _view(hg.ground, edges, hg.r, hg.semantics)
 
 
 def expected_rainbow_count(family_size: int, q: int, r: int) -> Fraction:
@@ -277,9 +290,10 @@ def empirical_moments(
     """Sample mean/variance of Z over seeded colorings, with exact comparison.
 
     Trial i draws its colors from a generator keyed by (seed, stream, i), so
-    the estimate is reproducible and order-independent.  Exact moments are
-    attached when the pairwise tally fits the budget.  They are computed
-    first, so a bad budget or family is refused before any sampling.
+    the estimate is reproducible and order-independent; its Z is |H| less the
+    members that _repeats marks.  Exact moments are attached when the
+    pairwise tally fits the budget.  They are computed first, so a bad budget
+    or family is refused before any sampling.
     """
     if trials < 1:
         raise InputError(f"need at least one trial, got {trials}")
@@ -291,10 +305,11 @@ def empirical_moments(
     except BudgetError:
         e_z = e_z2 = None
 
+    incidence = hg.incidence
+    big_m, size = len(hg.edges), hg.ground.size
     s1 = s2 = s4 = 0
-    for i in range(trials):
-        rng = make_rng(seed, _STREAM_COLORS, i)
-        z = len(tuple(_rainbow(hg.edges, [rng.randrange(q) for _ in range(hg.ground.size)])))
+    for rng in islice(trial_rngs(seed, _STREAM_COLORS), trials):
+        z = big_m - _repeats(incidence, map(rng.randrange, repeat(q, size)), q).bit_count()
         s1 += z
         s2 += z * z
         s4 += (z * z) ** 2

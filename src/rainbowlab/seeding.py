@@ -16,8 +16,10 @@ mix(a) != mix(a, 0).
 from __future__ import annotations
 
 import random
+from itertools import count
+from typing import Iterator
 
-__all__ = ["make_rng", "mix", "splitmix64"]
+__all__ = ["make_rng", "mix", "splitmix64", "trial_rngs"]
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -31,14 +33,32 @@ def splitmix64(x: int) -> int:
     return z ^ (z >> 31)
 
 
-def mix(*parts: int) -> int:
-    """Fold integers into one 64-bit key. Order and arity both matter."""
-    acc = splitmix64(len(parts))
+def _fold(arity: int, parts) -> int:
+    """The key rule: a splitmix64 chain from the arity through each part."""
+    acc = splitmix64(arity)
     for p in parts:
         acc = splitmix64(acc ^ (p & _MASK64))
     return acc
 
 
+def mix(*parts: int) -> int:
+    """Fold integers into one 64-bit key. Order and arity both matter."""
+    return _fold(len(parts), parts)
+
+
 def make_rng(*parts: int) -> random.Random:
     """A stdlib generator keyed by mix(*parts)."""
     return random.Random(mix(*parts))
+
+
+def trial_rngs(*prefix: int) -> Iterator[random.Random]:
+    """The generators make_rng(*prefix, i) for i = 0, 1, 2, ...
+
+    The prefix is folded once, and one generator is reseeded for each i, so
+    each yielded generator is valid only until the next one is drawn.
+    """
+    acc = _fold(len(prefix) + 1, prefix)
+    rng = random.Random()
+    for i in count():
+        rng.seed(splitmix64(acc ^ (i & _MASK64)))
+        yield rng

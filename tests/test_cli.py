@@ -371,6 +371,8 @@ MODE_ON = {
     ("moments", "with --q"): ["--n", "5", "--q", "6"],
     ("fragment", "with --sweep"): ["--n", "7", "--sweep", "1,2"],
     ("fragment", "without --sweep"): ["--n", "7"],
+    ("threshold", "with --c-grid"): ["--n", "6", "--c-grid", "1"],
+    ("threshold", "without --c-grid"): ["--n", "6", "--m-grid", "3"],
     ("search", "in search, which writes no report"): ["--n", "8", "--m", "20"],
     ("search", "with --input"): ["--input", "inst.txt"],
     ("search", "without --input"): ["--n", "8", "--m", "20"],
@@ -381,7 +383,7 @@ MODE_ON = {
 OFF_DEFAULT = {
     "--semantics": "labeled-orders", "--out-dir": "elsewhere", "--n": 8, "--k": 2, "--budget": 5,
     "--n-min": 5, "--n-max": 6, "--seed": 4, "--epsilon1": 0.2, "--omega": 3, "--sweep-trials": 5,
-    "--m": 20, "--q": 9,
+    "--m": 20, "--q": 9, "--m-grid": "3",
 }
 UNREAD = [(mode, flag) for mode in MODES for flag in mode.unread]
 NEEDED = [(mode, flag) for mode in MODES for flag in mode.needs]

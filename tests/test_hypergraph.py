@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from rainbowlab.errors import InputError
 from rainbowlab.hypergraph import (
     DISTINCT_SETS,
+    LABELED_ORDERS,
     GroundSet,
     Hypergraph,
     alpha_cut,
@@ -93,6 +94,20 @@ def test_masks_match_edges():
     hg = cycle_family(5)
     for edge, mask in zip(hg.edges, hg.masks):
         assert mask == sum(1 << e for e in edge)
+
+
+@pytest.mark.parametrize(
+    "hg",
+    [
+        cycle_family(5),
+        read_hypergraph_text("6 3 2\n0 1\n0 1\n4 5\n", LABELED_ORDERS),
+        read_hypergraph_text("4 0 2\n"),
+    ],
+)
+def test_incidence_is_the_transpose_of_masks(hg):
+    assert len(hg.incidence) == hg.ground.size
+    for x, inc in enumerate(hg.incidence):
+        assert inc == sum(1 << j for j, edge in enumerate(hg.edges) if x in edge)
 
 
 # ----------------------------------------------------------------------------

@@ -321,6 +321,68 @@ def test_rainbow_subfamily_matches_the_checked_filter(n, k, q, semantics):
     assert repeated == (semantics == LABELED_ORDERS and fam.collisions > 0)
 
 
+def rainbow_by_hand(hg, colors):
+    """The members whose r elements carry r distinct colors, one by one."""
+    return tuple(e for e in hg.edges if len({colors[x] for x in e}) == hg.r)
+
+
+def sampled_zs(hg, q, trials, seed):
+    """Each trial's Z, read off the running sums of empirical_moments run
+    for 1, 2, ..., trials trials."""
+    sums = [round(empirical_moments(hg, q, t, seed).mc_mean * t) for t in range(1, trials + 1)]
+    return [b - a for a, b in zip([0] + sums, sums)]
+
+
+def zs_by_hand(hg, q, trials, seed):
+    """Each trial's Z from its own make_rng(seed, stream, i) and the filter."""
+    stream = rainbow._STREAM_COLORS
+    colorings = (random_coloring(hg.ground.size, q, make_rng(seed, stream, i)) for i in range(trials))
+    return [len(rainbow_by_hand(hg, c.colors)) for c in colorings]
+
+
+@pytest.mark.parametrize("semantics", [DISTINCT_SETS, LABELED_ORDERS])
+@pytest.mark.parametrize("n,k", [(6, 2), (7, 1), (8, 2)])
+def test_the_mask_kernel_matches_a_per_member_filter(n, k, semantics):
+    hg = enumerate_family(PowerParams(n, k)).hypergraph(semantics)
+    # palettes below r, around r, and larger than the ground set
+    for q in (hg.r - 1, hg.r + 1, 2 * hg.r, 3 * hg.ground.size):
+        for seed in range(8):
+            coloring = random_coloring(hg.ground.size, q, make_rng(seed, q))
+            sub = rainbow_subfamily(hg, coloring)
+            assert sub.edges == rainbow_by_hand(hg, coloring.colors)
+            if q < hg.r:  # too few colors: the coloring leaves no member
+                assert sub.edges == ()
+        assert sampled_zs(hg, q, 12, 17 + q) == zs_by_hand(hg, q, 12, 17 + q)
+
+
+TEXT_FAMILY = "7 5 3\n0 1 2\n1 2 3\n0 4 5\n2 3 5\n1 5 6\n"
+
+
+@pytest.mark.parametrize(
+    "hg,q",
+    [
+        (read_hypergraph_text(TEXT_FAMILY), 3),
+        (read_hypergraph_text(TEXT_FAMILY), 40),
+        (read_hypergraph_text(TEXT_FAMILY, LABELED_ORDERS), 4),
+        # r = 1: every member is rainbow, even with one color
+        (Hypergraph(GroundSet(5), ((0,), (2,), (3,), (4,)), r=1), 1),
+        (Hypergraph(GroundSet(5), ((0,), (2,), (3,), (2,)), r=1, semantics=LABELED_ORDERS), 2),
+        # one color leaves no member of a family with r >= 2
+        (read_hypergraph_text(TEXT_FAMILY), 1),
+        (read_hypergraph_text("4 0 2\n"), 2),
+    ],
+)
+def test_the_mask_kernel_on_small_families(hg, q):
+    for seed in range(10):
+        coloring = random_coloring(hg.ground.size, q, make_rng(seed))
+        sub = rainbow_subfamily(hg, coloring)
+        assert sub.edges == rainbow_by_hand(hg, coloring.colors)
+        if hg.r == 1:
+            assert sub.edges == hg.edges
+    if hg.edges:  # moments are undefined for an empty family
+        assert sampled_zs(hg, q, 10, 5) == zs_by_hand(hg, q, 10, 5)
+
+
 # ----------------------------------------------------------------------------
 # Monte Carlo against the exact values
 
@@ -335,7 +397,7 @@ def test_empirical_moments_refuse_a_negative_pair_budget_before_sampling(monkeyp
     def no_sampling(*key):
         raise AssertionError("sampled before checking the pair budget")
 
-    monkeypatch.setattr(rainbow, "make_rng", no_sampling)
+    monkeypatch.setattr(rainbow, "trial_rngs", no_sampling)
     hg = cycle_family(6)
     with pytest.raises(InputError, match="pair budget must be >= 0, got -1"):
         empirical_moments(hg, 6, 50_000, 1, pair_budget=-1)

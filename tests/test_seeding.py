@@ -1,9 +1,10 @@
 import random
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rainbowlab.seeding import _GAMMA, _MASK64, make_rng, mix, splitmix64
+from rainbowlab.seeding import _GAMMA, _MASK64, make_rng, mix, splitmix64, trial_rngs
 
 # reference outputs for state 1234567, from the published splitmix64 algorithm
 VECTOR = [
@@ -53,3 +54,11 @@ def test_make_rng_streams_are_reproducible_and_distinct():
 
 def test_make_rng_is_a_stdlib_generator():
     assert isinstance(make_rng(0), random.Random)
+
+
+@pytest.mark.parametrize("prefix", [(), (7,), (-3, 2**64 + 5), (2026, 0x636F_6C6F_7273, -(2**70))])
+def test_trial_rngs_are_make_rng_of_the_prefix_and_trial(prefix):
+    for i, rng in zip(range(50), trial_rngs(*prefix)):
+        want = make_rng(*prefix, i)
+        assert rng.getstate() == want.getstate()
+        assert [rng.randrange(9) for _ in range(5)] == [want.randrange(9) for _ in range(5)]
