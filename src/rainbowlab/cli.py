@@ -51,13 +51,6 @@ _ints = _list_of(int, "integers")
 _floats = _list_of(float, "numbers")
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is None:
-        print(f"note: --seed not given, using fixed seed {DEFAULT_SEED}", file=sys.stderr)
-        return DEFAULT_SEED
-    return args.seed
-
-
 def _emit(payload: dict, args, filename: str) -> None:
     """Primary JSON to stdout; a copy under --out-dir when one is given."""
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -198,7 +191,7 @@ def cmd_moments(args) -> int:
     q = args.q if args.q is not None else rainbow.default_color_count(hg.r, args.epsilon1)
     if args.trials > 0:
         report = rainbow.empirical_moments(
-            hg, q, trials=args.trials, seed=_resolve_seed(args), pair_budget=args.pair_budget
+            hg, q, trials=args.trials, seed=args.seed, pair_budget=args.pair_budget
         )
         payload = report.to_json()
     else:
@@ -224,9 +217,8 @@ def _fragment_config(args, seed: int, omega=None) -> fragments.TwoRoundConfig:
 
 
 def cmd_fragment(args) -> int:
-    seed = _resolve_seed(args)
     if args.sweep is None:
-        record = fragments.run_two_round(_fragment_config(args, seed))
+        record = fragments.run_two_round(_fragment_config(args, args.seed))
         _emit(record.to_json(), args, f"fragment_n{args.n}_k{args.k}.json")
         return 0
 
@@ -240,7 +232,7 @@ def cmd_fragment(args) -> int:
         failures = 0
         bad_total = 0
         for i in range(args.sweep_trials):
-            cfg = _fragment_config(args, mix(seed, 0x7377_6565, i), omega=omega)
+            cfg = _fragment_config(args, mix(args.seed, 0x7377_6565, i), omega=omega)
             rec = fragments.run_two_round(cfg)
             if not rec.success:
                 failures += 1
@@ -264,14 +256,13 @@ def cmd_fragment(args) -> int:
 
 
 def cmd_threshold(args) -> int:
-    seed = _resolve_seed(args)
     q = args.q if args.q is not None else rainbow.default_color_count(args.k * args.n, 0.1)
     config = threshold.ExperimentConfig(
         n=args.n,
         k=args.k,
         q=q,
         trials=args.trials,
-        seed=seed,
+        seed=args.seed,
         c_grid=tuple(args.c_grid) if args.c_grid is not None else None,
         m_grid=tuple(args.m_grid) if args.m_grid is not None else None,
         budget=args.budget,
@@ -291,11 +282,10 @@ def cmd_search(args) -> int:
     if args.input:
         inst = threshold.read_instance_text(_read_text(Path(args.input)))
     else:
-        seed = _resolve_seed(args)
         q = args.q if args.q is not None else rainbow.default_color_count(args.k * args.n, 0.1)
         from .seeding import make_rng
 
-        inst = threshold.sample_instance(args.n, args.k, q, args.m, make_rng(seed, 0x696E_7374))
+        inst = threshold.sample_instance(args.n, args.k, q, args.m, make_rng(args.seed, 0x696E_7374))
     res = threshold.rainbow_power_search(
         inst, require_rainbow=not args.no_rainbow, budget=args.budget
     )
@@ -544,9 +534,10 @@ def _given(subparser: argparse.ArgumentParser, argv: list[str]) -> set[str]:
     return {a.option_strings[0] for a in subparser._actions if getattr(probe, a.dest) is not unset}
 
 
-def _check_modes(args, given: set[str]) -> None:
+def _check_modes(args, given: set[str]) -> list[_Mode]:
     """Refuse a given flag that a mode that is on leaves unread, and a missing
-    flag that one needs, before any handler runs."""
+    flag that one needs, before any handler runs.  Returns the modes that
+    are on."""
     on = [mode for mode in MODES if mode.command == args.subcommand and mode.when(args)]
     if hasattr(args, "n") and not any("--n" in mode.unread for mode in on):
         phrase = "without --input" if hasattr(args, "input") else f"in {args.subcommand}"
@@ -558,6 +549,7 @@ def _check_modes(args, given: set[str]) -> None:
         for flag in mode.needs:
             if getattr(args, flag[2:].replace("-", "_")) is None:
                 raise InputError(f"{flag} is required {mode.phrase} (as a flag or a config key)")
+    return on
 
 
 # flag type -> the JSON values a config key may give it, and their name
@@ -639,8 +631,16 @@ def main(argv=None) -> int:
                 args = parser.parse_args(argv)
             except SystemExit as exc:
                 return int(exc.code or 0)
-        _check_modes(args, given)
-        return args.func(args)
+        on = _check_modes(args, given)
+        # a run that reads the seed but was given none takes the default, and
+        # says so once it has given its output: a refused run prints one line
+        seeded = getattr(args, "seed", 0) is None and not any("--seed" in mode.unread for mode in on)
+        if seeded:
+            args.seed = DEFAULT_SEED
+        code = args.func(args)
+        if seeded:
+            print(f"note: --seed not given, using fixed seed {DEFAULT_SEED}", file=sys.stderr)
+        return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -16,7 +16,10 @@ floats (flagged on the result).
 
 from __future__ import annotations
 
+import functools
 import math
+import multiprocessing
+import os
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,6 +29,7 @@ from typing import Iterable
 from .errors import BudgetError, InputError
 from .hypergraph import DEFAULT_PAIR_BUDGET, Hypergraph, _profile_rows, _view, alpha_cut
 from .seeding import trial_rngs
+from .threshold import _fork_is_safe
 
 __all__ = [
     "Coloring",
@@ -279,6 +283,34 @@ class MomentReport:
 
 _STREAM_COLORS = 0x636F_6C6F_7273  # stream tag for coloring draws
 
+# A forked worker costs this process a few milliseconds, the time of about
+# 500 trials at (5, 1), q = 6; below this many trials per worker a split
+# gains too little, and a 3,000-trial run samples in-process.
+_MIN_TRIALS_PER_WORKER = 2000
+
+
+def _sampling_workers(trials: int) -> int:
+    """Workers for `trials` sampled colorings: one per available core, and
+    none with fewer than _MIN_TRIALS_PER_WORKER trials."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(cores, trials // _MIN_TRIALS_PER_WORKER)
+
+
+def _moment_sums(
+    incidence: tuple[int, ...], family_size: int, q: int, seed: int, block: tuple[int, int]
+) -> tuple[int, int, int]:
+    """The exact sums of Z, Z^2 and Z^4 over trials start .. stop - 1, where
+    Z is the family size less the members that _repeats marks."""
+    start, stop = block
+    size = len(incidence)
+    s1 = s2 = s4 = 0
+    for rng in islice(trial_rngs(seed, _STREAM_COLORS, start=start), stop - start):
+        z = family_size - _repeats(incidence, map(rng.randrange, repeat(q, size)), q).bit_count()
+        s1 += z
+        s2 += z * z
+        s4 += (z * z) ** 2
+    return s1, s2, s4
+
 
 def empirical_moments(
     hg: Hypergraph,
@@ -290,10 +322,15 @@ def empirical_moments(
     """Sample mean/variance of Z over seeded colorings, with exact comparison.
 
     Trial i draws its colors from a generator keyed by (seed, stream, i), so
-    the estimate is reproducible and order-independent; its Z is |H| less the
-    members that _repeats marks.  Exact moments are attached when the
-    pairwise tally fits the budget.  They are computed first, so a bad budget
-    or family is refused before any sampling.
+    the estimate is reproducible and order-independent.  The trials are cut
+    into contiguous blocks, one per worker (_sampling_workers); this process
+    runs the first block while workers forked from it run the others, and
+    the blocks' exact integer sums are added, so no byte depends on the
+    worker count.  Where _fork_is_safe does not hold, or this process is
+    itself a daemonic pool worker, every trial runs here: a spawned worker
+    would cost more than its block saves.  Exact moments are attached when
+    the pairwise tally fits the budget.  They are computed first, so a bad
+    budget or family is refused before any sampling.
     """
     if trials < 1:
         raise InputError(f"need at least one trial, got {trials}")
@@ -305,14 +342,16 @@ def empirical_moments(
     except BudgetError:
         e_z = e_z2 = None
 
-    incidence = hg.incidence
-    big_m, size = len(hg.edges), hg.ground.size
-    s1 = s2 = s4 = 0
-    for rng in islice(trial_rngs(seed, _STREAM_COLORS), trials):
-        z = big_m - _repeats(incidence, map(rng.randrange, repeat(q, size)), q).bit_count()
-        s1 += z
-        s2 += z * z
-        s4 += (z * z) ** 2
+    sums = functools.partial(_moment_sums, hg.incidence, len(hg.edges), q, seed)
+    workers = _sampling_workers(trials)
+    if workers > 1 and _fork_is_safe() and not multiprocessing.current_process().daemon:
+        blocks = [(trials * j // workers, trials * (j + 1) // workers) for j in range(workers)]
+        with multiprocessing.get_context("fork").Pool(workers - 1) as pool:
+            rest = pool.map_async(sums, blocks[1:])
+            parts = [sums(blocks[0]), *rest.get()]
+        s1, s2, s4 = map(sum, zip(*parts))
+    else:
+        s1, s2, s4 = sums((0, trials))
 
     mean = s1 / trials
     mean_z2 = s2 / trials

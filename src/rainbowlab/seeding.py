@@ -51,14 +51,16 @@ def make_rng(*parts: int) -> random.Random:
     return random.Random(mix(*parts))
 
 
-def trial_rngs(*prefix: int) -> Iterator[random.Random]:
-    """The generators make_rng(*prefix, i) for i = 0, 1, 2, ...
+def trial_rngs(*prefix: int, start: int = 0) -> Iterator[random.Random]:
+    """The generators make_rng(*prefix, i) for i = start, start + 1, ...
 
     The prefix is folded once, and one generator is reseeded for each i, so
-    each yielded generator is valid only until the next one is drawn.
+    each yielded generator is valid only until the next one is drawn.  A
+    worker that runs trials start .. stop - 1 passes its start, so it seeds
+    no generator of the trials before its own.
     """
     acc = _fold(len(prefix) + 1, prefix)
     rng = random.Random()
-    for i in count():
+    for i in count(start):
         rng.seed(splitmix64(acc ^ (i & _MASK64)))
         yield rng

@@ -399,18 +399,23 @@ def _run_task(config: ExperimentConfig, task: tuple[int, int, int]) -> tuple[int
     return -1 if res.found is None else int(res.found), res.nodes, res.elapsed
 
 
+def _fork_is_safe() -> bool:
+    """Whether a pool may fork its workers from this process: the platform
+    offers fork and the caller runs one thread.  A fork could copy a lock
+    that another thread holds; the package leaves no thread running."""
+    return threading.active_count() == 1 and "fork" in multiprocessing.get_all_start_methods()
+
+
 def run_grid(config: ExperimentConfig) -> GridResults:
     """Run every grid point for the configured number of trials.
 
     With workers > 1 the (point, trial) tasks are mapped over a process pool
     of at most one worker per task.  Its workers fork from this process, so
-    they inherit the imported package instead of importing it again.  The
-    package starts no threads; a fork could copy a lock that another thread
-    holds, so the workers are spawned instead where the caller runs threads
-    or the platform cannot fork.  Each task seeds its own generator and
-    results come back in task order, so point p owns the slice of trials
-    p*T .. (p+1)*T - 1, and the rows do not depend on the worker count or the
-    start method.
+    they inherit the imported package instead of importing it again; where
+    _fork_is_safe does not hold, they are spawned instead.  Each task seeds
+    its own generator and results come back in task order, so point p owns
+    the slice of trials p*T .. (p+1)*T - 1, and the rows do not depend on the
+    worker count or the start method.
     """
     points = config.points()
     trials = config.trials
@@ -419,8 +424,7 @@ def run_grid(config: ExperimentConfig) -> GridResults:
     if config.workers == 1:
         outcomes = list(map(run, tasks))
     else:
-        fork = threading.active_count() == 1 and "fork" in multiprocessing.get_all_start_methods()
-        ctx = multiprocessing.get_context("fork" if fork else "spawn")
+        ctx = multiprocessing.get_context("fork" if _fork_is_safe() else "spawn")
         chunk = max(1, len(tasks) // (config.workers * 8))
         with ctx.Pool(min(config.workers, len(tasks))) as pool:
             outcomes = pool.map(run, tasks, chunksize=chunk)

@@ -793,6 +793,25 @@ def test_seed_fallback_is_announced(capsys):
     assert strict_json(out)["seed"] == DEFAULT_SEED
 
 
+# runs without --seed that a value check refuses once the handler has begun
+SEEDLESS_REFUSALS = [
+    ["moments", "--n", "5", "--k", "1", "--q", "0", "--trials", "5"],
+    ["threshold", "--n", "6", "--k", "1", "--m-grid", "8", "--trials", "2", "--workers", "0"],
+    ["threshold", "--n", "6", "--k", "1", "--m-grid", "8", "--trials", "0"],
+    ["fragment", "--n", "6", "--sweep", "0"],
+    ["search", "--n", "6", "--k", "1", "--m", "15", "--q", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", SEEDLESS_REFUSALS, ids=" ".join)
+def test_a_refused_run_announces_no_seed(capsys, tmp_path, argv):
+    extra = [] if argv[0] == "search" else ["--out-dir", str(tmp_path / "D")]
+    code, out, err = run_cli(capsys, *argv, *extra)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not (tmp_path / "D").exists()
+
+
 def test_exact_moments_need_no_seed(capsys):
     code, out, err = run_cli(capsys, "moments", "--n", "5", "--k", "1",
                              "--q", "6", "--trials", "0")

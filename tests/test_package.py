@@ -80,6 +80,49 @@ def test_unused_import_scan_sees_a_dead_import():
     assert _unused_imports(source) == ["line 1: math", "line 2: Iterator"]
 
 
+def _foreign_imports(source: str, package: str) -> list[str]:
+    """Imports of anything but the package itself and the standard library;
+    a relative import is the package itself."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        found.extend(
+            f"line {node.lineno}: {name}"
+            for name in names
+            if name.split(".")[0] not in (package, *sys.stdlib_module_names)
+        )
+    return found
+
+
+def test_package_imports_only_itself_and_the_standard_library():
+    package = Path(rainbowlab.__file__).parent
+    foreign = {
+        path.name: found
+        for path in sorted(package.glob("*.py"))
+        if (found := _foreign_imports(path.read_text(), "rainbowlab"))
+    }
+    assert foreign == {}
+
+
+def test_import_scan_sees_a_foreign_import():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path, numpy as np\n"
+        "from . import errors\n"
+        "from .seeding import mix\n"
+        "from rainbowlab.hampow import PowerParams\n"
+        "from scipy.special import comb\n"
+        "def f():\n"
+        "    import yaml\n"
+    )
+    assert _foreign_imports(source, "rainbowlab") == ["line 2: numpy", "line 6: scipy.special", "line 8: yaml"]
+
+
 def _read_names(trees) -> set[str]:
     """Every name the trees read: as a loaded name, an attribute or an
     imported name."""

@@ -7,6 +7,8 @@ frozen constants recomputed here per ordered pair with local arithmetic.
 
 import json
 import math
+import multiprocessing
+import threading
 from dataclasses import asdict
 from fractions import Fraction
 from itertools import product
@@ -37,7 +39,9 @@ from rainbowlab.rainbow import (
     random_coloring,
 )
 from rainbowlab.seeding import make_rng
+from rainbowlab.threshold import ExperimentConfig, run_grid
 from tests.test_hypergraph import cycle_family
+from tests.test_threshold import _InProcessContext
 
 
 def tiny_family():
@@ -420,6 +424,105 @@ def test_empirical_moments_are_reproducible():
     assert a.mc_mean_z2 == b.mc_mean_z2
     c = empirical_moments(hg, 3, trials=500, seed=8)
     assert (a.mc_mean, a.mc_mean_z2) != (c.mc_mean, c.mc_mean_z2)
+
+
+# ----------------------------------------------------------------------------
+# sampling split over forked workers
+
+FORKS = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="platform cannot fork")
+
+
+def force_workers(monkeypatch, workers):
+    monkeypatch.setattr(rainbow, "_sampling_workers", lambda trials: workers)
+
+
+def recorded_contexts(monkeypatch, ctx=None):
+    """The start methods asked of multiprocessing.get_context from now on;
+    each is answered by ctx, or by the real context when ctx is None."""
+    asked = []
+    get_context = multiprocessing.get_context
+    monkeypatch.setattr(
+        multiprocessing, "get_context", lambda method=None: asked.append(method) or ctx or get_context(method)
+    )
+    return asked
+
+
+@FORKS
+@pytest.mark.parametrize(
+    "n,k,semantics,q,trials",
+    [
+        (5, 1, DISTINCT_SETS, 6, 20_001),  # no worker count divides it
+        (6, 2, LABELED_ORDERS, 13, 3_001),
+        (5, 1, DISTINCT_SETS, 1000, 4_000),  # q above the ground set: _repeats' dict
+        (5, 1, DISTINCT_SETS, 6, 2),  # fewer trials than workers
+    ],
+)
+def test_the_worker_count_changes_no_output(monkeypatch, n, k, semantics, q, trials):
+    hg = enumerate_family(PowerParams(n, k)).hypergraph(semantics)
+    asked = recorded_contexts(monkeypatch)
+    reports = []
+    for workers in (1, 2, 3):
+        force_workers(monkeypatch, workers)
+        reports.append(empirical_moments(hg, q, trials, seed=11).to_json())
+    assert reports[1] == reports[0] == reports[2]
+    assert asked == ["fork", "fork"]
+
+
+@FORKS
+def test_a_forked_sampling_run_leaves_no_worker_or_thread(monkeypatch):
+    threads = threading.active_count()
+    asked = recorded_contexts(monkeypatch)
+    force_workers(monkeypatch, 2)
+    empirical_moments(cycle_family(5), 6, 400, seed=3)
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads
+    # so the grid that follows still forks
+    run_grid(ExperimentConfig(n=6, k=1, q=8, trials=2, seed=5, m_grid=(8,), workers=2))
+    assert asked == ["fork", "fork"]
+
+
+def test_empirical_moments_sample_in_process_beside_a_thread(monkeypatch):
+    hg = cycle_family(5)
+    want = empirical_moments(hg, 6, 400, seed=3)
+    ctx = _InProcessContext()
+    asked = recorded_contexts(monkeypatch, ctx)
+    force_workers(monkeypatch, 2)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(10,))
+    thread.start()
+    try:
+        got = empirical_moments(hg, 6, 400, seed=3)
+    finally:
+        release.set()
+        thread.join(10)
+    assert not thread.is_alive()
+    assert (asked, ctx.sizes) == ([], [])
+    assert got == want
+
+
+@FORKS
+def test_empirical_moments_sample_in_process_inside_a_daemon(monkeypatch):
+    hg = cycle_family(5)
+    want = empirical_moments(hg, 6, 400, seed=3)
+    fork = multiprocessing.get_context("fork")
+    ctx = _InProcessContext()
+    asked = recorded_contexts(monkeypatch, ctx)
+    force_workers(monkeypatch, 2)
+    receive, send = fork.Pipe(duplex=False)
+    # the daemon inherits the recorder; it sends back its own copy of asked
+    child = fork.Process(
+        target=lambda: send.send((asked, ctx.sizes, empirical_moments(hg, 6, 400, seed=3))), daemon=True
+    )
+    child.start()
+    try:
+        assert receive.poll(30)
+        got = receive.recv()
+    finally:
+        child.join(10)
+        receive.close()
+        send.close()
+    assert not child.is_alive()
+    assert got == ([], [], want)
 
 
 def test_moment_report_json_shape():

@@ -58,7 +58,8 @@ def test_make_rng_is_a_stdlib_generator():
 
 @pytest.mark.parametrize("prefix", [(), (7,), (-3, 2**64 + 5), (2026, 0x636F_6C6F_7273, -(2**70))])
 def test_trial_rngs_are_make_rng_of_the_prefix_and_trial(prefix):
-    for i, rng in zip(range(50), trial_rngs(*prefix)):
-        want = make_rng(*prefix, i)
-        assert rng.getstate() == want.getstate()
-        assert [rng.randrange(9) for _ in range(5)] == [want.randrange(9) for _ in range(5)]
+    for start in (0, 17, 2**64 - 20):
+        for i, rng in zip(range(start, start + 50), trial_rngs(*prefix, start=start)):
+            want = make_rng(*prefix, i)
+            assert rng.getstate() == want.getstate()
+            assert [rng.randrange(9) for _ in range(5)] == [want.randrange(9) for _ in range(5)]
