@@ -256,6 +256,10 @@ def cmd_fragment(args) -> int:
 
 
 def cmd_threshold(args) -> int:
+    if args.trials < 1:
+        raise InputError(f"--trials must be >= 1, got {args.trials}")
+    if args.workers < 1:
+        raise InputError(f"--workers must be >= 1, got {args.workers}")
     q = args.q if args.q is not None else rainbow.default_color_count(args.k * args.n, 0.1)
     config = threshold.ExperimentConfig(
         n=args.n,

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import math
-import multiprocessing
 import os
 from collections import defaultdict
 from dataclasses import dataclass
@@ -28,8 +27,7 @@ from typing import Iterable
 
 from .errors import BudgetError, InputError
 from .hypergraph import DEFAULT_PAIR_BUDGET, Hypergraph, _profile_rows, _view, alpha_cut
-from .seeding import trial_rngs
-from .threshold import _fork_is_safe
+from .seeding import _fan_out, trial_rngs
 
 __all__ = [
     "Coloring",
@@ -290,10 +288,10 @@ _MIN_TRIALS_PER_WORKER = 2000
 
 
 def _sampling_workers(trials: int) -> int:
-    """Workers for `trials` sampled colorings: one per available core, and
-    none with fewer than _MIN_TRIALS_PER_WORKER trials."""
+    """Workers for `trials` sampled colorings: one per available core, but
+    none that gets fewer than _MIN_TRIALS_PER_WORKER trials, and one at least."""
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return min(cores, trials // _MIN_TRIALS_PER_WORKER)
+    return max(1, min(cores, trials // _MIN_TRIALS_PER_WORKER))
 
 
 def _moment_sums(
@@ -323,12 +321,9 @@ def empirical_moments(
 
     Trial i draws its colors from a generator keyed by (seed, stream, i), so
     the estimate is reproducible and order-independent.  The trials are cut
-    into contiguous blocks, one per worker (_sampling_workers); this process
-    runs the first block while workers forked from it run the others, and
-    the blocks' exact integer sums are added, so no byte depends on the
-    worker count.  Where _fork_is_safe does not hold, or this process is
-    itself a daemonic pool worker, every trial runs here: a spawned worker
-    would cost more than its block saves.  Exact moments are attached when
+    into contiguous blocks, one per worker (_sampling_workers), which
+    seeding._fan_out runs; the blocks' exact integer sums are added, so no
+    byte depends on the worker count.  Exact moments are attached when
     the pairwise tally fits the budget.  They are computed first, so a bad
     budget or family is refused before any sampling.
     """
@@ -344,14 +339,8 @@ def empirical_moments(
 
     sums = functools.partial(_moment_sums, hg.incidence, len(hg.edges), q, seed)
     workers = _sampling_workers(trials)
-    if workers > 1 and _fork_is_safe() and not multiprocessing.current_process().daemon:
-        blocks = [(trials * j // workers, trials * (j + 1) // workers) for j in range(workers)]
-        with multiprocessing.get_context("fork").Pool(workers - 1) as pool:
-            rest = pool.map_async(sums, blocks[1:])
-            parts = [sums(blocks[0]), *rest.get()]
-        s1, s2, s4 = map(sum, zip(*parts))
-    else:
-        s1, s2, s4 = sums((0, trials))
+    blocks = [(trials * j // workers, trials * (j + 1) // workers) for j in range(workers)]
+    s1, s2, s4 = map(sum, zip(*_fan_out(sums, blocks)))
 
     mean = s1 / trials
     mean_z2 = s2 / trials

@@ -4,7 +4,7 @@ Every randomized routine in this package derives its generator from a master
 seed plus structural indices (stage, grid point, trial number, ...) instead of
 sharing one generator.  This makes results independent of scheduling and
 iteration order: trial 17 sees the same stream whether it runs first, last, or
-on another worker process.
+on another worker process, one that _fan_out forks.
 
 The derivation is a splitmix64 avalanche chain.  splitmix64 is the standard
 64-bit finalizer (Steele-Lea-Flood increment, two xor-multiply rounds); folding
@@ -15,9 +15,11 @@ mix(a) != mix(a, 0).
 
 from __future__ import annotations
 
+import multiprocessing
 import random
+import threading
 from itertools import count
-from typing import Iterator
+from typing import Callable, Iterator, Sequence
 
 __all__ = ["make_rng", "mix", "splitmix64", "trial_rngs"]
 
@@ -64,3 +66,22 @@ def trial_rngs(*prefix: int, start: int = 0) -> Iterator[random.Random]:
     for i in count(start):
         rng.seed(splitmix64(acc ^ (i & _MASK64)))
         yield rng
+
+
+def _fan_out(fn: Callable, blocks: Sequence) -> list:
+    """[fn(b) for b in blocks], with blocks[1:] run by workers forked from
+    this process while it runs blocks[0] itself.
+
+    It forks only where that is safe: the platform offers fork, this process
+    runs one thread (a fork could copy a lock another thread holds), and it
+    is no daemonic pool worker (those may have no children).  Otherwise every
+    block runs here; it never spawns, as a fresh interpreter would import the
+    package again and cost more than a block saves.  fn and its results must
+    pickle.
+    """
+    forks = "fork" in multiprocessing.get_all_start_methods()
+    if len(blocks) < 2 or not forks or threading.active_count() > 1 or multiprocessing.current_process().daemon:
+        return list(map(fn, blocks))
+    with multiprocessing.get_context("fork").Pool(len(blocks) - 1) as pool:
+        rest = pool.map_async(fn, blocks[1:])
+        return [fn(blocks[0]), *rest.get()]

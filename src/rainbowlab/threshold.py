@@ -14,7 +14,7 @@ edges are fresh and pairwise distinct.  A node is a placement that passed
 these checks; a node budget turns the verdict into "unknown" rather than ever
 guessing.
 
-Grid runs fan trials out over a process pool; every trial derives its
+Grid runs spread their trials over seeding._fan_out; every trial derives its
 generator from (master seed, point index, trial index), and rows are reduced
 in canonical order, so the emitted CSV is byte-identical no matter how many
 workers ran.  Wall-clock timings are therefore kept out of the canonical
@@ -25,8 +25,6 @@ from __future__ import annotations
 
 import functools
 import math
-import multiprocessing
-import threading
 import time
 from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
@@ -34,7 +32,7 @@ from typing import Iterable, Sequence
 from .errors import InputError
 from .hampow import PowerParams
 from .hypergraph import _int_lines, pair_id, pair_of
-from .seeding import make_rng
+from .seeding import _fan_out, make_rng
 
 __all__ = [
     "Instance",
@@ -65,10 +63,9 @@ class Instance:
     edge_colors: tuple[tuple[int, int], ...]  # (element id, color), sorted by id
 
     def __post_init__(self):
-        PowerParams(self.n, self.k)
+        big_n = PowerParams(self.n, self.k).ground_size
         if self.q < 1:
             raise InputError(f"palette size q must be >= 1, got {self.q}")
-        big_n = self.n * (self.n - 1) // 2
         ids = [e for e, _ in self.edge_colors]
         if sorted(set(ids)) != sorted(ids):
             raise InputError("instance edges must be distinct")
@@ -86,8 +83,7 @@ class Instance:
 
 def sample_instance(n: int, k: int, q: int, m: int, rng) -> Instance:
     """Uniform m-subset of K_n's edge slots with independent uniform colors."""
-    PowerParams(n, k)
-    big_n = n * (n - 1) // 2
+    big_n = PowerParams(n, k).ground_size
     if not 0 <= m <= big_n:
         raise InputError(f"m={m} out of range 0..{big_n}")
     if q < 1:
@@ -282,21 +278,18 @@ class ExperimentConfig:
             raise InputError(f"palette size q must be >= 1, got {self.q}")
         self.points()  # checks every C or m value
 
-    @property
-    def n_slots(self) -> int:
-        return self.n * (self.n - 1) // 2
-
     def points(self) -> list[tuple[float, int]]:
         """(C, m) per grid point, sorted canonically by (m, C)."""
         if self.c_grid is not None:
             out = [(c, _exposure_size(c, self.n, self.k)) for c in self.c_grid]
         else:
+            big_n = PowerParams(self.n, self.k).ground_size
             kappa_hat = self.n ** (1 / self.k)
             out = []
             for m in self.m_grid:
-                if not 0 <= m <= self.n_slots:
-                    raise InputError(f"m={m} out of range 0..{self.n_slots}")
-                out.append((m * kappa_hat / self.n_slots, m))
+                if not 0 <= m <= big_n:
+                    raise InputError(f"m={m} out of range 0..{big_n}")
+                out.append((m * kappa_hat / big_n, m))
         return sorted(set(out), key=lambda p: (p[1], p[0]))
 
 
@@ -385,49 +378,38 @@ class GridResults:
         return cls(config=config, rows=tuple(rows))
 
 
-def _run_task(config: ExperimentConfig, task: tuple[int, int, int]) -> tuple[int, int, float]:
-    """One (point index, m, trial index) unit: sample the instance, run the
-    search, and return (verdict, nodes, seconds), verdict -1 when undecided.
+def _run_tasks(config: ExperimentConfig, tasks: list[tuple[int, int, int]]) -> list[tuple[int, int, float]]:
+    """For each (point index, m, trial index) task: sample the instance, run
+    the search, and give (verdict, nodes, seconds), verdict -1 when undecided.
 
     Top-level so process pools can pickle it.  The generator key folds in the
     point and trial indices, making results independent of scheduling.
     """
-    point_idx, m, trial_idx = task
-    rng = make_rng(config.seed, point_idx, trial_idx)
-    inst = sample_instance(config.n, config.k, config.q, m, rng)
-    res = rainbow_power_search(inst, require_rainbow=config.require_rainbow, budget=config.budget)
-    return -1 if res.found is None else int(res.found), res.nodes, res.elapsed
-
-
-def _fork_is_safe() -> bool:
-    """Whether a pool may fork its workers from this process: the platform
-    offers fork and the caller runs one thread.  A fork could copy a lock
-    that another thread holds; the package leaves no thread running."""
-    return threading.active_count() == 1 and "fork" in multiprocessing.get_all_start_methods()
+    out = []
+    for point_idx, m, trial_idx in tasks:
+        rng = make_rng(config.seed, point_idx, trial_idx)
+        inst = sample_instance(config.n, config.k, config.q, m, rng)
+        res = rainbow_power_search(inst, require_rainbow=config.require_rainbow, budget=config.budget)
+        out.append((-1 if res.found is None else int(res.found), res.nodes, res.elapsed))
+    return out
 
 
 def run_grid(config: ExperimentConfig) -> GridResults:
     """Run every grid point for the configured number of trials.
 
-    With workers > 1 the (point, trial) tasks are mapped over a process pool
-    of at most one worker per task.  Its workers fork from this process, so
-    they inherit the imported package instead of importing it again; where
-    _fork_is_safe does not hold, they are spawned instead.  Each task seeds
-    its own generator and results come back in task order, so point p owns
-    the slice of trials p*T .. (p+1)*T - 1, and the rows do not depend on the
-    worker count or the start method.
+    The (point, trial) tasks are dealt into w = min(workers, tasks) strided
+    blocks, tasks[j::w], which seeding._fan_out runs; striding spreads each
+    point's trials over every block, so a costly point loads them evenly.
+    Each task seeds its own generator and the outcomes go back in task
+    order, so point p owns the slice of trials p*T .. (p+1)*T - 1, and the
+    rows do not depend on the worker count or on where the blocks ran.
     """
     points = config.points()
     trials = config.trials
     tasks = [(point_idx, m, trial_idx) for point_idx, (_, m) in enumerate(points) for trial_idx in range(trials)]
-    run = functools.partial(_run_task, config)
-    if config.workers == 1:
-        outcomes = list(map(run, tasks))
-    else:
-        ctx = multiprocessing.get_context("fork" if _fork_is_safe() else "spawn")
-        chunk = max(1, len(tasks) // (config.workers * 8))
-        with ctx.Pool(min(config.workers, len(tasks))) as pool:
-            outcomes = pool.map(run, tasks, chunksize=chunk)
+    w = min(config.workers, len(tasks))
+    parts = _fan_out(functools.partial(_run_tasks, config), [tasks[j::w] for j in range(w)])
+    outcomes = [parts[i % w][i // w] for i in range(len(tasks))]
 
     rows = []
     for point_idx, (c_value, m) in enumerate(points):

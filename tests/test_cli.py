@@ -168,6 +168,17 @@ def test_negative_moment_trials_is_input_error(capsys):
     assert "--trials" in err
 
 
+@pytest.mark.parametrize("flag", ["--trials", "--workers"])
+def test_threshold_names_the_flag_below_one(capsys, tmp_path, flag):
+    code, out, err = run_cli(
+        capsys, "threshold", "--n", "6", "--k", "1", "--m-grid", "8", flag, "0", "--seed", "1",
+        "--out-dir", str(tmp_path / "D"),
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: {flag} must be >= 1, got 0\n"
+    assert not (tmp_path / "D").exists()
+
+
 def assert_one_error_line(code, out, err):
     assert code == 1
     assert out == ""

@@ -80,9 +80,9 @@ def test_unused_import_scan_sees_a_dead_import():
     assert _unused_imports(source) == ["line 1: math", "line 2: Iterator"]
 
 
-def _foreign_imports(source: str, package: str) -> list[str]:
-    """Imports of anything but the package itself and the standard library;
-    a relative import is the package itself."""
+def _imports(source: str, keep) -> list[str]:
+    """The absolute imports whose top-level module name passes keep; a
+    relative import is the package itself, and is skipped."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -91,12 +91,18 @@ def _foreign_imports(source: str, package: str) -> list[str]:
             names = [node.module]
         else:
             continue
-        found.extend(
-            f"line {node.lineno}: {name}"
-            for name in names
-            if name.split(".")[0] not in (package, *sys.stdlib_module_names)
-        )
+        found.extend(f"line {node.lineno}: {name}" for name in names if keep(name.split(".")[0]))
     return found
+
+
+def _foreign_imports(source: str, package: str) -> list[str]:
+    """Imports of anything but the package itself and the standard library."""
+    return _imports(source, lambda top: top not in (package, *sys.stdlib_module_names))
+
+
+def _concurrency_imports(source: str) -> list[str]:
+    """Imports of the modules that start processes or threads."""
+    return _imports(source, {"multiprocessing", "threading", "_thread", "concurrent"}.__contains__)
 
 
 def test_package_imports_only_itself_and_the_standard_library():
@@ -121,6 +127,35 @@ def test_import_scan_sees_a_foreign_import():
         "    import yaml\n"
     )
     assert _foreign_imports(source, "rainbowlab") == ["line 2: numpy", "line 6: scipy.special", "line 8: yaml"]
+
+
+def test_only_seeding_starts_processes_or_threads():
+    # every parallel loop goes through seeding._fan_out and its fork rule
+    package = Path(rainbowlab.__file__).parent
+    found = {
+        path.name: hits
+        for path in sorted(package.glob("*.py"))
+        if path.name != "seeding.py" and (hits := _concurrency_imports(path.read_text()))
+    }
+    assert found == {}
+    assert _concurrency_imports((package / "seeding.py").read_text())
+
+
+def test_concurrency_scan_sees_each_spelling():
+    source = (
+        "import os, multiprocessing.pool\n"
+        "from threading import Thread\n"
+        "from .seeding import _fan_out\n"
+        "def f():\n"
+        "    import concurrent.futures as cf\n"
+        "    from multiprocessing import get_context\n"
+    )
+    assert _concurrency_imports(source) == [
+        "line 1: multiprocessing.pool",
+        "line 2: threading",
+        "line 5: concurrent.futures",
+        "line 6: multiprocessing",
+    ]
 
 
 def _read_names(trees) -> set[str]:

@@ -39,9 +39,9 @@ from rainbowlab.rainbow import (
     random_coloring,
 )
 from rainbowlab.seeding import make_rng
-from rainbowlab.threshold import ExperimentConfig, run_grid
+from rainbowlab.threshold import ExperimentConfig, format_csv, run_grid
 from tests.test_hypergraph import cycle_family
-from tests.test_threshold import _InProcessContext
+from tests.test_threshold import FORKS
 
 
 def tiny_family():
@@ -429,22 +429,25 @@ def test_empirical_moments_are_reproducible():
 # ----------------------------------------------------------------------------
 # sampling split over forked workers
 
-FORKS = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="platform cannot fork")
-
 
 def force_workers(monkeypatch, workers):
     monkeypatch.setattr(rainbow, "_sampling_workers", lambda trials: workers)
 
 
-def recorded_contexts(monkeypatch, ctx=None):
-    """The start methods asked of multiprocessing.get_context from now on;
-    each is answered by ctx, or by the real context when ctx is None."""
+def recorded_contexts(monkeypatch):
+    """The start methods asked of multiprocessing.get_context from now on."""
     asked = []
     get_context = multiprocessing.get_context
-    monkeypatch.setattr(
-        multiprocessing, "get_context", lambda method=None: asked.append(method) or ctx or get_context(method)
-    )
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: asked.append(method) or get_context(method))
     return asked
+
+
+def both_callers(monkeypatch, workers):
+    """Sampled moments and a grid's CSV, each cut into `workers` blocks: the
+    two callers of seeding._fan_out."""
+    force_workers(monkeypatch, workers)
+    grid = ExperimentConfig(n=6, k=1, q=8, trials=4, seed=5, m_grid=(8, 12), workers=workers)
+    return empirical_moments(cycle_family(5), 6, 400, seed=3), format_csv(run_grid(grid))
 
 
 @FORKS
@@ -482,37 +485,37 @@ def test_a_forked_sampling_run_leaves_no_worker_or_thread(monkeypatch):
 
 
 def test_empirical_moments_sample_in_process_beside_a_thread(monkeypatch):
-    hg = cycle_family(5)
-    want = empirical_moments(hg, 6, 400, seed=3)
-    ctx = _InProcessContext()
-    asked = recorded_contexts(monkeypatch, ctx)
-    force_workers(monkeypatch, 2)
+    want = both_callers(monkeypatch, 1)
+    asked = recorded_contexts(monkeypatch)
     release = threading.Event()
     thread = threading.Thread(target=release.wait, args=(10,))
     thread.start()
     try:
-        got = empirical_moments(hg, 6, 400, seed=3)
+        got = both_callers(monkeypatch, 2)
     finally:
         release.set()
         thread.join(10)
     assert not thread.is_alive()
-    assert (asked, ctx.sizes) == ([], [])
+    assert asked == []
     assert got == want
 
 
 @FORKS
 def test_empirical_moments_sample_in_process_inside_a_daemon(monkeypatch):
-    hg = cycle_family(5)
-    want = empirical_moments(hg, 6, 400, seed=3)
+    want = both_callers(monkeypatch, 1)
     fork = multiprocessing.get_context("fork")
-    ctx = _InProcessContext()
-    asked = recorded_contexts(monkeypatch, ctx)
-    force_workers(monkeypatch, 2)
+    asked = recorded_contexts(monkeypatch)
     receive, send = fork.Pipe(duplex=False)
-    # the daemon inherits the recorder; it sends back its own copy of asked
-    child = fork.Process(
-        target=lambda: send.send((asked, ctx.sizes, empirical_moments(hg, 6, 400, seed=3))), daemon=True
-    )
+
+    def run():
+        # the daemon inherits the recorder; it sends back its own copy of
+        # asked, or what a pool refused it
+        try:
+            send.send((asked, both_callers(monkeypatch, 2)))
+        except Exception as exc:
+            send.send(repr(exc))
+
+    child = fork.Process(target=run, daemon=True)
     child.start()
     try:
         assert receive.poll(30)
@@ -522,7 +525,7 @@ def test_empirical_moments_sample_in_process_inside_a_daemon(monkeypatch):
         receive.close()
         send.close()
     assert not child.is_alive()
-    assert got == ([], [], want)
+    assert got == ([], want)
 
 
 def test_moment_report_json_shape():

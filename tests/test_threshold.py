@@ -11,6 +11,7 @@ import math
 import multiprocessing
 import threading
 from itertools import permutations
+from types import SimpleNamespace
 
 import pytest
 
@@ -33,6 +34,9 @@ from rainbowlab.threshold import (
     sample_instance,
     wilson_interval,
 )
+
+
+FORKS = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="platform cannot fork")
 
 
 def oracle_decides(inst, require_rainbow=True):
@@ -363,7 +367,7 @@ def test_run_grid_bytes_at_criterion_9_size_do_not_depend_on_workers():
     assert one.encode() == format_csv(run_grid(ExperimentConfig(workers=2, **grid))).encode()
 
 
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="platform cannot fork")
+@FORKS
 def test_run_grid_forks_its_workers_where_the_platform_can(monkeypatch):
     asked = []
     get_context = multiprocessing.get_context
@@ -398,34 +402,39 @@ class _InProcessContext:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, tasks, chunksize=1):
-        return [fn(t) for t in tasks]
+    def map_async(self, fn, blocks):
+        results = [fn(b) for b in blocks]
+        return SimpleNamespace(get=lambda: results)
 
 
+@FORKS
 def test_run_grid_starts_no_more_workers_than_tasks(monkeypatch):
+    # the caller runs one of the three tasks, two workers run the others
     ctx = _InProcessContext()
     monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: ctx)
     cfg = ExperimentConfig(n=6, k=1, q=8, trials=3, seed=5, m_grid=(8,), workers=8)
     res = run_grid(cfg)
-    assert ctx.sizes == [3]
+    assert ctx.sizes == [2]
     assert res.config["workers"] == 8
     assert format_csv(res) == format_csv(run_grid(dataclasses.replace(cfg, workers=1)))
 
 
-def test_run_grid_spawns_its_workers_beside_a_thread(monkeypatch):
-    ctx = _InProcessContext()
+def test_run_grid_runs_in_process_beside_a_thread(monkeypatch):
+    cfg = ExperimentConfig(n=6, k=1, q=8, trials=4, seed=5, m_grid=(8, 12), workers=2)
+    want = format_csv(run_grid(dataclasses.replace(cfg, workers=1)))
     asked = []
-    monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: asked.append(method) or ctx)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: asked.append(method))
     release = threading.Event()
     thread = threading.Thread(target=release.wait, args=(10,))
     thread.start()
     try:
-        run_grid(ExperimentConfig(n=6, k=1, q=8, trials=2, seed=5, m_grid=(8,), workers=2))
+        got = format_csv(run_grid(cfg))
     finally:
         release.set()
         thread.join(10)
     assert not thread.is_alive()
-    assert asked == ["spawn"]
+    assert asked == []
+    assert got == want
 
 
 def test_rate_is_none_until_something_is_decided():
