@@ -8,11 +8,11 @@ than kn distinct colors.  Otherwise it backtracks over vertex sequences:
 vertex 0 is pinned first, reflection is broken by requiring the second vertex
 to precede the last, and a candidate must be joined to every placed vertex it
 shares a power edge with: its back-edges, plus its wrap-around edges once both
-endpoints are placed.  Each edge carries one label bit (its color, or its
-pair id when colors do not matter), so one mask test checks that the new
-edges are fresh and pairwise distinct.  A node is a placement that passed
-these checks; a node budget turns the verdict into "unknown" rather than ever
-guessing.
+endpoints are placed.  Each edge belongs to one class (its color, or its
+pair id when colors do not matter), and an edge grid keeps the edges whose
+class is unused, so candidates never carry a used color and only pairwise
+distinctness is left to test.  A node is a placement that passed these
+checks; a node budget turns the verdict into "unknown" rather than guessing.
 
 Grid runs spread their trials over seeding._fan_out; every trial derives its
 generator from (master seed, point index, trial index), and rows are reduced
@@ -131,30 +131,37 @@ def rainbow_power_search(
     if budget < 1:
         raise InputError(f"node budget must be >= 1, got {budget}")
 
-    # adjacency bitmasks and one label bit per edge: its color, or its pair
-    # id when colors do not matter (a power never repeats a pair, so those
-    # labels never collide); a zero label marks an absent edge
+    # adjacency bitmasks for the degree prefilter
     adj = [0] * n
-    label = [[0] * n for _ in range(n)]
-    palette = 0
-    for eid, c in inst.edge_colors:
+    for eid, _ in inst.edge_colors:
         u, v = pair_of(eid)
         if v >= n:
             raise InputError(f"element id {eid} is no edge slot of K_{n}")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-        bit = 1 << (c if require_rainbow else eid)
-        label[u][v] = label[v][u] = bit
-        palette |= bit
 
-    # sound pruning: a k-th power is 2k-regular with kn edges carrying kn
-    # distinct labels (vacuous without colors, where labels are the m edges)
+    # sound pruning: a k-th power is 2k-regular with kn edges in kn distinct
+    # classes (colors; without colors the classes are the m edges)
     if (
         inst.m < k * n
-        or palette.bit_count() < k * n
+        or require_rainbow and len({c for _, c in inst.edge_colors}) < k * n
         or any(adj[v].bit_count() < 2 * k for v in range(n))
     ):
         return TrialResult(False, 0, time.perf_counter() - t0)
+
+    # the edge grid: free holds bits u*n + v and v*n + u while edge uv's class
+    # is unused.  A class mask is its edges' grid bits plus tag bit n*n + its
+    # rank, so placing a vertex is free ^= the classes of its link edges, and
+    # candidates read from free never carry a used color
+    nn = n * n
+    ends = [(*pair_of(eid), c if require_rainbow else eid) for eid, c in inst.edge_colors]
+    classes = {}
+    for u, v, key in ends:
+        classes[key] = classes.get(key, 1 << (nn + len(classes))) | 1 << (u * n + v) | 1 << (v * n + u)
+    label = [[0] * n for _ in range(n)]
+    for u, v, key in ends:
+        label[u][v] = label[v][u] = classes[key]
+    free = sum(classes.values())  # the class masks are disjoint
 
     # per level: positions of the placed vertices joined to the new vertex by
     # a power edge (back-edges, then wrap-around edges once level >= n-k);
@@ -166,12 +173,11 @@ def rainbow_power_search(
 
     seq = [0] * n
     cand = [0] * n
-    placed_labels = [0] * n
-    used = 1
-    used_labels = 0
+    placed = [0] * n
+    unplaced = (1 << n) - 2
     nodes = 0
     level = 1
-    cand[1] = adj[0] & ~used
+    cand[1] = free & unplaced
     link = links[1]
 
     while True:
@@ -180,20 +186,20 @@ def rainbow_power_search(
             level -= 1
             if level == 0:
                 return TrialResult(False, nodes, time.perf_counter() - t0)
-            used ^= 1 << seq[level]
-            used_labels ^= placed_labels[level]
+            unplaced ^= 1 << seq[level]
+            free ^= placed[level]
             link = links[level]
             continue
         low = avail & -avail
         cand[level] = avail ^ low
         v = low.bit_length() - 1
 
-        # the new power edges must carry fresh, pairwise distinct labels
+        # the new power edges are present with unused classes; they must differ
         row = label[v]
         new = 0
         for i in link:
             new |= row[seq[i]]
-        if new & used_labels or new.bit_count() != len(link):
+        if (new >> nn).bit_count() != len(link):
             continue
 
         nodes += 1
@@ -204,14 +210,14 @@ def rainbow_power_search(
             witness = tuple(seq)
             _revalidate(inst, witness, require_rainbow)
             return TrialResult(True, nodes, time.perf_counter() - t0, witness)
-        used |= low
-        used_labels |= new
-        placed_labels[level] = new
+        unplaced ^= low
+        free ^= new
+        placed[level] = new
         level += 1
         link = links[level]
-        mask = ~used
+        mask = unplaced
         for i in link:
-            mask &= adj[seq[i]]
+            mask &= free >> seq[i] * n
         if level == n - 1:
             mask &= -(1 << seq[1])  # reflection: the last vertex follows the second
         cand[level] = mask
@@ -621,11 +627,3 @@ def read_instance_text(text: str) -> Instance:
         return Instance(header[0], header[1], header[2], tuple(edges))
     except InputError as exc:
         raise InputError(f"invalid instance: {exc}") from exc
-
-
-def format_instance_text(inst: Instance) -> str:
-    out = [f"{inst.n} {inst.k} {inst.q}"]
-    for eid, c in inst.edge_colors:
-        u, v = pair_of(eid)
-        out.append(f"{u} {v} {c}")
-    return "\n".join(out) + "\n"

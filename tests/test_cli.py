@@ -322,7 +322,8 @@ def test_profile_refuses_k_and_budget_beside_input(capsys, family_file, flag, va
 )
 def test_search_refuses_sampling_flags_beside_input(capsys, tmp_path, flag, value):
     from rainbowlab.seeding import make_rng
-    from rainbowlab.threshold import format_instance_text, sample_instance
+    from rainbowlab.threshold import sample_instance
+    from tests.test_threshold import format_instance_text
 
     path = tmp_path / "inst.txt"
     path.write_text(format_instance_text(sample_instance(7, 1, 30, 21, make_rng(1))))
@@ -943,7 +944,8 @@ def test_fragment_sweep_reports_rates_and_fit(capsys):
 
 def test_search_reads_instance_files(capsys, tmp_path):
     from rainbowlab.seeding import make_rng
-    from rainbowlab.threshold import format_instance_text, sample_instance
+    from rainbowlab.threshold import sample_instance
+    from tests.test_threshold import format_instance_text
 
     inst = sample_instance(7, 1, 30, 21, make_rng(1))
     path = tmp_path / "inst.txt"

@@ -26,7 +26,6 @@ from rainbowlab.threshold import (
     emit_report,
     fit_failure_constant,
     format_csv,
-    format_instance_text,
     format_svg,
     rainbow_power_search,
     read_instance_text,
@@ -231,6 +230,41 @@ def test_search_without_rainbow_visits_frozen_nodes(params, expected):
     inst = sample_instance(n, k, 3, m, make_rng(seed))
     res = rainbow_power_search(inst, require_rainbow=False, budget=budget)
     assert (res.found, res.nodes, res.witness) == expected
+
+
+# (n, k, q, m, seed, budget) -> (found, nodes, witness) of rainbow searches,
+# frozen at the values of the kernel that tested each candidate's colors
+# against a used-color mask: a (12, 2, 27) refutation, a (12, 2, 36) witness,
+# a k = 3 witness (its last level links 2k placed vertices), a k = 3
+# refutation, a complete K8 whose verdict turns on two link edges sharing a
+# color, and a budget stop
+FROZEN_RAINBOW_SEARCHES = [
+    ((12, 2, 27, 55, 2, 10_000_000), (False, 19840, None)),
+    ((12, 2, 36, 64, 2, 10_000_000), (True, 14207, (0, 1, 4, 8, 3, 2, 6, 7, 10, 5, 9, 11))),
+    ((10, 3, 90, 42, 0, 10_000_000), (True, 1801, (0, 1, 5, 7, 3, 2, 8, 9, 4, 6))),
+    ((9, 3, 60, 36, 7, 10_000_000), (False, 8749, None)),
+    ((8, 2, 20, 28, 0, 10_000_000), (False, 639, None)),
+    ((12, 2, 27, 55, 2, 5000), (None, 5001, None)),
+]
+
+
+@pytest.mark.parametrize("params, expected", FROZEN_RAINBOW_SEARCHES)
+def test_rainbow_search_visits_frozen_nodes(params, expected):
+    n, k, q, m, seed, budget = params
+    res = rainbow_power_search(sample_instance(n, k, q, m, make_rng(seed)), budget=budget)
+    assert (res.found, res.nodes, res.witness) == expected
+
+
+@pytest.mark.parametrize("params, expected", FROZEN_RAINBOW_SEARCHES)
+def test_rainbow_search_sees_color_classes_not_color_ids(params, expected):
+    # color c becomes c * 10**6 + 7.  One label bit per color id made each
+    # node cost O(q) bits: the first pin, a 19,840-node refutation, took 134 s
+    n, k, q, m, seed, budget = params
+    colors = sample_instance(n, k, q, m, make_rng(seed)).edge_colors
+    inst = Instance(n, k, (q - 1) * 10**6 + 8, tuple((e, c * 10**6 + 7) for e, c in colors))
+    res = rainbow_power_search(inst, budget=budget)
+    assert (res.found, res.nodes, res.witness) == expected
+    assert res.elapsed < 2.0
 
 
 # ----------------------------------------------------------------------------
@@ -540,6 +574,15 @@ def test_emit_report_writes_files(tmp_path):
 
 # ----------------------------------------------------------------------------
 # instance files
+
+def format_instance_text(inst):
+    """The instance file that read_instance_text reads back as inst."""
+    out = [f"{inst.n} {inst.k} {inst.q}"]
+    for eid, c in inst.edge_colors:
+        u, v = pair_of(eid)
+        out.append(f"{u} {v} {c}")
+    return "\n".join(out) + "\n"
+
 
 def test_instance_text_roundtrip():
     inst = sample_instance(7, 2, 6, 12, make_rng(9))
