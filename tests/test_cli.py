@@ -566,6 +566,10 @@ CLI_DIGESTS = {
     "spread --n 7 --k 2 --smax 2": "2d06a61a542d4e66fac07adcfd72f2ce3e3beee939309b76261a5b9276e46a3a",
     "fragment --n 7 --k 1 --mode staged": "abf7bfacc267c802f6049e4b2218e4b0e56801e7f3001f4493f6f8152cd1860a",
     "fragment --n 7 --k 1 --sweep 1,2,3 --sweep-trials 50": "6fa4a0b65927ff30eba36893590d8e6aae23fe83c7ae2d5094474132b9f4e3e9",
+    "fragment --n 8 --k 1 --C 4 --sweep 1,2,3,4,5,6,7 --sweep-trials 100 --seed 3": "fb2ec3064e096f8aa8a7d8c0dcaccc39ce824cff62e0a027a0f964b525b97887",
+    "fragment --n 8 --k 2 --C 3 --sweep 2,4,6,8,10,12 --sweep-trials 100 --seed 3": "8f79819f9dedf6939a5e93a4e3c10c9ac2d26c10c76d8268c9d7c5d4482f5fc1",
+    "fragment --n 9 --k 1 --C 3 --sweep 1,2,3,4 --sweep-trials 60 --seed 3": "a101f1e6826fb6f2ff7888b95a254db4e09609542aefe979ab9cda9265cc2725",
+    "fragment --n 7 --k 1 --q 9 --C 4 --epsilon1 0.5 --mode staged --sweep 1,2,3 --sweep-trials 20 --seed 3": "6643d006acccbd40a20cf01781baf2e5491c987aea18bbca1abe845ac455b719",
 }
 
 
