@@ -27,7 +27,6 @@ from .hypergraph import (
     required_k0,
     spread_up_to,
 )
-from .seeding import mix
 
 DEFAULT_SEED = 1729
 
@@ -201,16 +200,16 @@ def cmd_moments(args) -> int:
     return 0
 
 
-def _fragment_config(args, seed: int, omega=None) -> fragments.TwoRoundConfig:
+def _fragment_config(args) -> fragments.TwoRoundConfig:
     params = hampow.PowerParams(args.n, args.k)
     q = args.q if args.q is not None else rainbow.default_color_count(params.r, args.epsilon1)
     return fragments.TwoRoundConfig(
         q=q,
         C=args.C,
         epsilon1=args.epsilon1,
-        seed=seed,
+        seed=args.seed,
         params=params,
-        omega=omega if omega is not None else args.omega,
+        omega=args.omega,
         coloring_mode=args.mode,
         order_budget=args.budget,
     )
@@ -218,39 +217,15 @@ def _fragment_config(args, seed: int, omega=None) -> fragments.TwoRoundConfig:
 
 def cmd_fragment(args) -> int:
     if args.sweep is None:
-        record = fragments.run_two_round(_fragment_config(args, args.seed))
+        record = fragments.run_two_round(_fragment_config(args))
         _emit(record.to_json(), args, f"fragment_n{args.n}_k{args.k}.json")
         return 0
 
-    omegas = sorted(set(args.sweep))
-    if any(w < 1 for w in omegas):
+    if any(w < 1 for w in args.sweep):
         raise InputError("--sweep values must be >= 1")
     if args.sweep_trials < 1:
         raise InputError("--sweep-trials must be >= 1")
-    rows = []
-    for omega in omegas:
-        failures = 0
-        bad_total = 0
-        for i in range(args.sweep_trials):
-            cfg = _fragment_config(args, mix(args.seed, 0x7377_6565, i), omega=omega)
-            rec = fragments.run_two_round(cfg)
-            if not rec.success:
-                failures += 1
-            bad_total += rec.bad_count
-        rows.append(
-            {
-                "omega": omega,
-                "trials": args.sweep_trials,
-                "failures": failures,
-                "failure_rate": failures / args.sweep_trials,
-                "mean_bad": bad_total / args.sweep_trials,
-            }
-        )
-    fit = threshold.fit_failure_constant([(r["omega"], r["failure_rate"]) for r in rows])
-    payload = {
-        "rows": rows,
-        "fit": {"c": fit.c, "available": fit.available, "reason": fit.reason},
-    }
+    payload = fragments.omega_sweep(_fragment_config(args), args.sweep, args.sweep_trials)
     _emit(payload, args, f"fragment_sweep_n{args.n}_k{args.k}.json")
     return 0
 

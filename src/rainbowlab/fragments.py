@@ -19,19 +19,25 @@ arrival, which is what the accepted-fragment expectation
 
 accounts for with its color factor; in upfront mode the color factor is
 dropped.  Both modes are first-class and every record names its mode.
+
+The omega sweep runs the first round once per trial and reads every omega
+from that trial's minimum-fragment sizes, which do not depend on omega: at
+omega, bad = #{ell >= omega}, and the trial fails when 2 * bad > |H*|.  Trial
+i draws its coloring and W0 from mix(seed, 0x7377_6565, i), the same streams
+at every omega.  The failure rates are fitted to 2 * c^omega.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError
 from .hypergraph import DISTINCT_SETS, Hypergraph, _mask, _mask_of
 from .hampow import PowerParams, enumerate_family, DEFAULT_ORDER_BUDGET
 from .rainbow import Coloring, falling, expected_rainbow_count, random_coloring, rainbow_subfamily
-from .seeding import make_rng
+from .seeding import make_rng, mix
 from .threshold import _exposure_size
 
 UPFRONT = "upfront"
@@ -49,12 +55,15 @@ __all__ = [
     "ClassificationOutcome",
     "ThirdStageOutcome",
     "TwoRoundRecord",
+    "FailureFit",
     "default_omega",
     "sample_w0",
     "classify_fragments",
     "run_third_stage",
     "expected_nu_r",
     "run_two_round",
+    "fit_failure_constant",
+    "omega_sweep",
 ]
 
 
@@ -360,6 +369,16 @@ class TwoRoundRecord:
         }
 
 
+def _first_round(config: TwoRoundConfig, hg: Hypergraph, omega: int):
+    """Color, keep the rainbow subfamily H*, expose W0 and classify H*: the
+    stages run_two_round and omega_sweep share.  Each draws from its own
+    stream of config.seed."""
+    coloring = random_coloring(config.n_elements, config.q, make_rng(config.seed, _STREAM_COLOR))
+    hstar = rainbow_subfamily(hg, coloring)
+    w0 = sample_w0(config.n_elements, config.m, make_rng(config.seed, _STREAM_W0))
+    return coloring, hstar, w0, classify_fragments(hstar, w0, omega)
+
+
 def run_two_round(config: TwoRoundConfig) -> TwoRoundRecord:
     """Color, expose, classify, and (unless a fragment is already complete)
     run the second exposure.  Each stage draws from its own derived stream, so
@@ -371,20 +390,13 @@ def run_two_round(config: TwoRoundConfig) -> TwoRoundRecord:
     then exits early with found_rainbow set.
     """
     hg = config.family()
-    coloring = random_coloring(config.n_elements, config.q, make_rng(config.seed, _STREAM_COLOR))
-    hstar = rainbow_subfamily(hg, coloring)
-    e_z = float(expected_rainbow_count(len(hg.edges), config.q, config.r))
+    coloring, hstar, w0, outcome = _first_round(config, hg, config.omega_resolved)
     base = dict(
         config=config.echo(),
         family_size=len(hg.edges),
         rainbow_size=len(hstar.edges),
-        expected_rainbow=e_z,
+        expected_rainbow=float(expected_rainbow_count(len(hg.edges), config.q, config.r)),
         mode=config.coloring_mode,
-    )
-
-    w0 = sample_w0(config.n_elements, config.m, make_rng(config.seed, _STREAM_W0))
-    outcome = classify_fragments(hstar, w0, config.omega_resolved)
-    common = dict(
         success=outcome.success,
         bad_count=outcome.bad_count,
         bad_fraction=outcome.bad_fraction,
@@ -393,20 +405,66 @@ def run_two_round(config: TwoRoundConfig) -> TwoRoundRecord:
     )
 
     if any(rec.good and rec.ell == 0 for rec in outcome.records):
-        return TwoRoundRecord(**base, **common, nu_r=0, found_rainbow=True, early_exit=True)
+        return TwoRoundRecord(**base, nu_r=0, found_rainbow=True, early_exit=True)
 
-    stage3 = run_third_stage(
-        config,
-        outcome.records,
-        w0,
-        coloring,
-        make_rng(config.seed, _STREAM_STAGE3),
-        hstar=hstar,
-    )
-    return TwoRoundRecord(
-        **base,
-        **common,
-        nu_r=stage3.nu_r,
-        found_rainbow=stage3.found_rainbow,
-        early_exit=False,
-    )
+    rng = make_rng(config.seed, _STREAM_STAGE3)
+    stage3 = run_third_stage(config, outcome.records, w0, coloring, rng, hstar=hstar)
+    return TwoRoundRecord(**base, nu_r=stage3.nu_r, found_rainbow=stage3.found_rainbow, early_exit=False)
+
+
+# ----------------------------------------------------------------------------
+# the omega sweep and its failure fit
+
+@dataclass(frozen=True)
+class FailureFit:
+    """Least-squares fit of log(failure) = log 2 + omega * log c.
+
+    Only rates strictly inside (0, 1) enter the fit; at least three such
+    points are required, otherwise the fit is reported unavailable.
+    """
+
+    c: float | None
+    residuals: tuple[float, ...]
+    used: tuple[tuple[int, float], ...]
+    available: bool
+    reason: str | None = None
+
+
+def fit_failure_constant(points: Iterable[tuple[int, float]]) -> FailureFit:
+    usable = [(w, f) for w, f in points if 0.0 < f < 1.0]
+    if len(usable) < 3:
+        reason = f"need >= 3 failure rates strictly inside (0, 1), have {len(usable)}"
+        return FailureFit(c=None, residuals=(), used=tuple(usable), available=False, reason=reason)
+    num = sum(w * (math.log(f) - math.log(2.0)) for w, f in usable)
+    den = sum(w * w for w, _ in usable)
+    log_c = num / den
+    residuals = tuple(math.log(f) - (math.log(2.0) + w * log_c) for w, f in usable)
+    return FailureFit(c=math.exp(log_c), residuals=residuals, used=tuple(usable), available=True)
+
+
+def omega_sweep(config: TwoRoundConfig, omegas: Iterable[int], trials: int) -> dict:
+    """First-round failure rate and mean bad count at each distinct omega,
+    over trials seeded from config.seed, and the fitted failure constant.
+
+    config.omega is not read.  A degenerate trial (empty H*) fails at every
+    omega.
+    """
+    omegas = sorted(set(omegas))
+    if not omegas or omegas[0] < 1 or trials < 1:
+        raise InputError(f"a sweep needs omegas >= 1 and trials >= 1, got {omegas} and {trials}")
+    hg = config.family()
+    # (histogram, |H*|) per trial; the ells do not depend on the omega given
+    tallies = []
+    for i in range(trials):
+        trial = replace(config, seed=mix(config.seed, 0x7377_6565, i))
+        outcome = _first_round(trial, hg, 1)[3]
+        tallies.append((outcome.histogram, len(outcome.records)))
+
+    rows = []
+    for omega in omegas:
+        bad = [sum(c for ell, c in hist.items() if ell >= omega) for hist, _ in tallies]
+        failures = sum(1 for b, (_, size) in zip(bad, tallies) if not size or 2 * b > size)
+        rows.append({"omega": omega, "trials": trials, "failures": failures,
+                     "failure_rate": failures / trials, "mean_bad": sum(bad) / trials})
+    fit = fit_failure_constant((row["omega"], row["failure_rate"]) for row in rows)
+    return {"rows": rows, "fit": {"c": fit.c, "available": fit.available, "reason": fit.reason}}

@@ -1,4 +1,4 @@
-"""Threshold experiments: sampled instances, exact rainbow search, grids, fits.
+"""Threshold experiments: sampled instances, exact rainbow search, grids, reports.
 
 An instance is an m-edge subgraph of K_n with uniformly colored edges.  The
 search decides exactly whether it contains a (rainbow) k-th power of a
@@ -27,7 +27,7 @@ import functools
 import math
 import time
 from dataclasses import dataclass, fields
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import InputError
 from .hampow import PowerParams
@@ -40,12 +40,10 @@ __all__ = [
     "ExperimentConfig",
     "GridRow",
     "GridResults",
-    "FailureFit",
     "wilson_interval",
     "sample_instance",
     "rainbow_power_search",
     "run_grid",
-    "fit_failure_constant",
     "emit_report",
     "read_instance_text",
 ]
@@ -450,43 +448,6 @@ def run_grid(config: ExperimentConfig) -> GridResults:
         "grid": [{"C": c, "m": m} for c, m in points],
     }
     return GridResults(config=echo, rows=tuple(rows))
-
-
-# ----------------------------------------------------------------------------
-# failure-rate fit
-
-@dataclass(frozen=True)
-class FailureFit:
-    """Least-squares fit of log(failure) = log 2 + omega * log c.
-
-    Only rates strictly inside (0, 1) enter the fit; at least three such
-    points are required, otherwise the fit is reported unavailable.
-    """
-
-    c: float | None
-    residuals: tuple[float, ...]
-    used: tuple[tuple[int, float], ...]
-    available: bool
-    reason: str | None = None
-
-
-def fit_failure_constant(points: Iterable[tuple[int, float]]) -> FailureFit:
-    usable = [(w, f) for w, f in points if 0.0 < f < 1.0]
-    if len(usable) < 3:
-        return FailureFit(
-            c=None,
-            residuals=(),
-            used=tuple(usable),
-            available=False,
-            reason=f"need >= 3 failure rates strictly inside (0, 1), have {len(usable)}",
-        )
-    num = sum(w * (math.log(f) - math.log(2.0)) for w, f in usable)
-    den = sum(w * w for w, _ in usable)
-    log_c = num / den
-    residuals = tuple(math.log(f) - (math.log(2.0) + w * log_c) for w, f in usable)
-    return FailureFit(
-        c=math.exp(log_c), residuals=residuals, used=tuple(usable), available=True
-    )
 
 
 # ----------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Two-round exposure process: fragments, classification, acceptance."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -16,6 +17,8 @@ from rainbowlab.fragments import (
     classify_fragments,
     default_omega,
     expected_nu_r,
+    fit_failure_constant,
+    omega_sweep,
     run_third_stage,
     run_two_round,
     sample_w0,
@@ -23,7 +26,7 @@ from rainbowlab.fragments import (
 from rainbowlab.hampow import PowerParams
 from rainbowlab.hypergraph import DISTINCT_SETS, GroundSet, Hypergraph
 from rainbowlab.rainbow import Coloring, random_coloring, rainbow_subfamily
-from rainbowlab.seeding import make_rng
+from rainbowlab.seeding import make_rng, mix
 
 
 def toy_hstar():
@@ -379,3 +382,61 @@ def test_two_round_records_are_pinned():
                 digest.update(json.dumps(rec.to_json(), sort_keys=True).encode() + b"\n")
     assert degenerate == 300
     assert digest.hexdigest() == "cc950f3847ddab34b0ab089cd8ce2c1872a4d6fc573c265e53ccda59d50b66fc"
+
+
+# ----------------------------------------------------------------------------
+# the omega sweep and its failure fit
+
+def test_fit_recovers_synthetic_constant():
+    c = 0.3
+    points = [(w, 2 * c**w) for w in range(1, 5)]
+    fit = fit_failure_constant(points)
+    assert fit.available
+    assert fit.c == pytest.approx(c)
+    assert all(abs(res) < 1e-12 for res in fit.residuals)
+
+
+def test_fit_filters_degenerate_rates():
+    fit = fit_failure_constant([(1, 1.0), (2, 0.0), (3, 0.5), (4, 0.25)])
+    assert not fit.available
+    assert "3" in fit.reason
+    assert fit.used == ((3, 0.5), (4, 0.25))
+
+
+def sweep_oracle(config, omegas, trials):
+    """The sweep rows the slow way: one full run_two_round per (omega, trial),
+    trial i seeded by mix(seed, 0x7377_6565, i) at every omega."""
+    rows = []
+    for omega in sorted(set(omegas)):
+        recs = [
+            run_two_round(dataclasses.replace(config, seed=mix(config.seed, 0x7377_6565, i), omega=omega))
+            for i in range(trials)
+        ]
+        failures = sum(1 for rec in recs if not rec.success)
+        rows.append(
+            {
+                "omega": omega,
+                "trials": trials,
+                "failures": failures,
+                "failure_rate": failures / trials,
+                "mean_bad": sum(rec.bad_count for rec in recs) / trials,
+            }
+        )
+    return rows
+
+
+@pytest.mark.parametrize("mode", [UPFRONT, STAGED])
+@pytest.mark.parametrize("n, q", [(7, 8), (7, 9), (8, 9)])
+def test_sweep_rows_match_one_run_per_omega(n, q, mode):
+    cfg = TwoRoundConfig(q=q, C=4.0, epsilon1=0.5, seed=11, params=PowerParams(n, 1), coloring_mode=mode)
+    got = omega_sweep(cfg, [5, 1, 3, 2, 3], 30)
+    want = sweep_oracle(cfg, [1, 2, 3, 5], 30)
+    assert got["rows"] == want
+    fit = fit_failure_constant((row["omega"], row["failure_rate"]) for row in want)
+    assert got["fit"] == {"c": fit.c, "available": fit.available, "reason": fit.reason}
+
+
+def test_sweep_refuses_empty_or_bad_omegas_and_trials():
+    for omegas, trials in (([], 5), ([0, 1], 5), ([1, 2], 0)):
+        with pytest.raises(InputError):
+            omega_sweep(staged_config(), omegas, trials)

@@ -24,7 +24,6 @@ from rainbowlab.threshold import (
     _exposure_size,
     Instance,
     emit_report,
-    fit_failure_constant,
     format_csv,
     format_svg,
     rainbow_power_search,
@@ -268,7 +267,7 @@ def test_rainbow_search_sees_color_classes_not_color_ids(params, expected):
 
 
 # ----------------------------------------------------------------------------
-# Wilson intervals and the failure fit
+# Wilson intervals
 
 def test_wilson_frozen_value():
     lo, hi = wilson_interval(5, 10)
@@ -290,22 +289,6 @@ def test_wilson_validates():
         wilson_interval(1, 0)
     with pytest.raises(InputError):
         wilson_interval(5, 3)
-
-
-def test_fit_recovers_synthetic_constant():
-    c = 0.3
-    points = [(w, 2 * c**w) for w in range(1, 5)]
-    fit = fit_failure_constant(points)
-    assert fit.available
-    assert fit.c == pytest.approx(c)
-    assert all(abs(res) < 1e-12 for res in fit.residuals)
-
-
-def test_fit_filters_degenerate_rates():
-    fit = fit_failure_constant([(1, 1.0), (2, 0.0), (3, 0.5), (4, 0.25)])
-    assert not fit.available
-    assert "3" in fit.reason
-    assert fit.used == ((3, 0.5), (4, 0.25))
 
 
 # ----------------------------------------------------------------------------
