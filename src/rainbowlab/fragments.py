@@ -24,7 +24,9 @@ The omega sweep runs the first round once per trial and reads every omega
 from that trial's minimum-fragment sizes, which do not depend on omega: at
 omega, bad = #{ell >= omega}, and the trial fails when 2 * bad > |H*|.  Trial
 i draws its coloring and W0 from mix(seed, 0x7377_6565, i), the same streams
-at every omega.  The failure rates are fitted to 2 * c^omega.
+at every omega.  A trial whose coloring leaves no rainbow member is counted
+as degenerate and enters no rate.  The failure rates are fitted to
+2 * c^omega.
 """
 
 from __future__ import annotations
@@ -446,25 +448,33 @@ def omega_sweep(config: TwoRoundConfig, omegas: Iterable[int], trials: int) -> d
     """First-round failure rate and mean bad count at each distinct omega,
     over trials seeded from config.seed, and the fitted failure constant.
 
-    config.omega is not read.  A degenerate trial (empty H*) fails at every
-    omega.
+    config.omega is not read.  Degenerate trials (empty H*) are counted
+    apart, and the rates read only the others; when every trial is
+    degenerate the rates are None and the fit is unavailable.
     """
     omegas = sorted(set(omegas))
     if not omegas or omegas[0] < 1 or trials < 1:
         raise InputError(f"a sweep needs omegas >= 1 and trials >= 1, got {omegas} and {trials}")
     hg = config.family()
-    # (histogram, |H*|) per trial; the ells do not depend on the omega given
-    tallies = []
+    # (histogram, |H*|) per trial with a rainbow member; the ells do not
+    # depend on the omega given
+    live = []
     for i in range(trials):
         trial = replace(config, seed=mix(config.seed, 0x7377_6565, i))
         outcome = _first_round(trial, hg, 1)[3]
-        tallies.append((outcome.histogram, len(outcome.records)))
+        if outcome.records:
+            live.append((outcome.histogram, len(outcome.records)))
 
     rows = []
     for omega in omegas:
-        bad = [sum(c for ell, c in hist.items() if ell >= omega) for hist, _ in tallies]
-        failures = sum(1 for b, (_, size) in zip(bad, tallies) if not size or 2 * b > size)
-        rows.append({"omega": omega, "trials": trials, "failures": failures,
-                     "failure_rate": failures / trials, "mean_bad": sum(bad) / trials})
-    fit = fit_failure_constant((row["omega"], row["failure_rate"]) for row in rows)
+        bad = [sum(c for ell, c in hist.items() if ell >= omega) for hist, _ in live]
+        failures = sum(1 for b, (_, size) in zip(bad, live) if 2 * b > size)
+        rate, mean_bad = (failures / len(live), sum(bad) / len(live)) if live else (None, None)
+        rows.append({"omega": omega, "trials": trials, "degenerate": trials - len(live),
+                     "failures": failures, "failure_rate": rate, "mean_bad": mean_bad})
+    if live:
+        fit = fit_failure_constant((row["omega"], row["failure_rate"]) for row in rows)
+    else:
+        reason = f"all {trials} trials are degenerate: no coloring left a rainbow member"
+        fit = FailureFit(c=None, residuals=(), used=(), available=False, reason=reason)
     return {"rows": rows, "fit": {"c": fit.c, "available": fit.available, "reason": fit.reason}}

@@ -565,11 +565,11 @@ CLI_DIGESTS = {
     "audit-prop2 --n 18 --k 1": "ddee9395614f631b01f68fa5be2efd8d2f8b3c5bd15f55a20aed47d2a21842d2",
     "spread --n 7 --k 2 --smax 2": "2d06a61a542d4e66fac07adcfd72f2ce3e3beee939309b76261a5b9276e46a3a",
     "fragment --n 7 --k 1 --mode staged": "abf7bfacc267c802f6049e4b2218e4b0e56801e7f3001f4493f6f8152cd1860a",
-    "fragment --n 7 --k 1 --sweep 1,2,3 --sweep-trials 50": "6fa4a0b65927ff30eba36893590d8e6aae23fe83c7ae2d5094474132b9f4e3e9",
-    "fragment --n 8 --k 1 --C 4 --sweep 1,2,3,4,5,6,7 --sweep-trials 100 --seed 3": "fb2ec3064e096f8aa8a7d8c0dcaccc39ce824cff62e0a027a0f964b525b97887",
-    "fragment --n 8 --k 2 --C 3 --sweep 2,4,6,8,10,12 --sweep-trials 100 --seed 3": "8f79819f9dedf6939a5e93a4e3c10c9ac2d26c10c76d8268c9d7c5d4482f5fc1",
-    "fragment --n 9 --k 1 --C 3 --sweep 1,2,3,4 --sweep-trials 60 --seed 3": "a101f1e6826fb6f2ff7888b95a254db4e09609542aefe979ab9cda9265cc2725",
-    "fragment --n 7 --k 1 --q 9 --C 4 --epsilon1 0.5 --mode staged --sweep 1,2,3 --sweep-trials 20 --seed 3": "6643d006acccbd40a20cf01781baf2e5491c987aea18bbca1abe845ac455b719",
+    "fragment --n 7 --k 1 --sweep 1,2,3 --sweep-trials 50": "50c557429e6ac49188755977b5666a5573740b2dec07832a953257eb3bd5ab04",
+    "fragment --n 8 --k 1 --C 4 --sweep 1,2,3,4,5,6,7 --sweep-trials 100 --seed 3": "93e0213ebba6d277a09e2d8152ae06bd127ad02e9cd2791ec0a4cecb1868223f",
+    "fragment --n 8 --k 2 --C 3 --sweep 2,4,6,8,10,12 --sweep-trials 100 --seed 3": "00ceea37602a5f9b700614871eab071038e6ce06e44d036d581cad30db73a9c3",
+    "fragment --n 9 --k 1 --C 3 --sweep 1,2,3,4 --sweep-trials 60 --seed 3": "fdc3f840f78bee12173af2ccc13033cfddb342261a8f627f487132ebc0d5ca7d",
+    "fragment --n 7 --k 1 --q 9 --C 4 --epsilon1 0.5 --mode staged --sweep 1,2,3 --sweep-trials 20 --seed 3": "8727c9d2c6dc37aff79dd3d1d773d34b60044f168eed84d1f0192d85f455e076",
 }
 
 

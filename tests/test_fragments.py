@@ -405,21 +405,24 @@ def test_fit_filters_degenerate_rates():
 
 def sweep_oracle(config, omegas, trials):
     """The sweep rows the slow way: one full run_two_round per (omega, trial),
-    trial i seeded by mix(seed, 0x7377_6565, i) at every omega."""
+    trial i seeded by mix(seed, 0x7377_6565, i) at every omega, and the
+    degenerate records set apart."""
     rows = []
     for omega in sorted(set(omegas)):
         recs = [
             run_two_round(dataclasses.replace(config, seed=mix(config.seed, 0x7377_6565, i), omega=omega))
             for i in range(trials)
         ]
-        failures = sum(1 for rec in recs if not rec.success)
+        live = [rec for rec in recs if not rec.degenerate]
+        failures = sum(1 for rec in live if not rec.success)
         rows.append(
             {
                 "omega": omega,
                 "trials": trials,
+                "degenerate": trials - len(live),
                 "failures": failures,
-                "failure_rate": failures / trials,
-                "mean_bad": sum(rec.bad_count for rec in recs) / trials,
+                "failure_rate": failures / len(live) if live else None,
+                "mean_bad": sum(rec.bad_count for rec in live) / len(live) if live else None,
             }
         )
     return rows
@@ -434,6 +437,32 @@ def test_sweep_rows_match_one_run_per_omega(n, q, mode):
     assert got["rows"] == want
     fit = fit_failure_constant((row["omega"], row["failure_rate"]) for row in want)
     assert got["fit"] == {"c": fit.c, "available": fit.available, "reason": fit.reason}
+
+
+def test_sweep_counts_degenerate_trials_apart():
+    # (8, 2) at q = 18, C = 3: 95 of the 100 colorings leave no rainbow member
+    cfg = TwoRoundConfig(q=18, C=3.0, epsilon1=0.1, seed=3, params=PowerParams(8, 2))
+    got = omega_sweep(cfg, [2, 4, 6, 8, 10, 12], 100)
+    assert {row["degenerate"] for row in got["rows"]} == {95}
+    assert got["rows"] == sweep_oracle(cfg, [2, 4, 6, 8, 10, 12], 100)
+    assert all(row["failure_rate"] == row["failures"] / 5 for row in got["rows"])
+    # counted as failures, the empty colorings fitted c = 0.918 to a flat 0.95
+    assert not got["fit"]["available"]
+
+
+def test_sweep_of_degenerate_trials_has_no_rates_and_no_fit():
+    # q = 6 < r = 7: no coloring leaves a rainbow member
+    cfg = TwoRoundConfig(q=6, C=4.0, epsilon1=0.5, seed=3, params=PowerParams(7, 1))
+    got = omega_sweep(cfg, [1, 2, 3], 12)
+    assert got["rows"] == [
+        {"omega": w, "trials": 12, "degenerate": 12, "failures": 0, "failure_rate": None, "mean_bad": None}
+        for w in (1, 2, 3)
+    ]
+    assert got["fit"] == {
+        "c": None,
+        "available": False,
+        "reason": "all 12 trials are degenerate: no coloring left a rainbow member",
+    }
 
 
 def test_sweep_refuses_empty_or_bad_omegas_and_trials():
