@@ -109,15 +109,6 @@ def _power_of(order: Sequence[int], pid, links) -> tuple[int, ...]:
     return tuple(sorted(ids))
 
 
-def power_edge_set(order: Sequence[int], k: int) -> tuple[int, ...]:
-    """Sorted element ids of the k-th power of the given cyclic order."""
-    n = len(order)
-    PowerParams(n, k)
-    if sorted(order) != list(range(n)):
-        raise InputError("order must be a permutation of 0..n-1")
-    return _power_of(order, *_power_table(n, k))
-
-
 @dataclass(frozen=True)
 class PowerFamily:
     """All canonical orders of [n] together with their (deduplicated) powers.

@@ -186,16 +186,6 @@ def _mask_of(elements: Iterable[int], ground: GroundSet) -> int:
     return _mask(elements)
 
 
-def count_superedges(hg: Hypergraph, elements: Iterable[int]) -> int:
-    """Number of members containing every given element (multiplicity counted).
-
-    The empty set is contained in everything, so count_superedges(hg, ()) is
-    the family size.
-    """
-    smask = _mask_of(elements, hg.ground)
-    return sum(1 for m in hg.masks if m & smask == smask)
-
-
 # ----------------------------------------------------------------------------
 # spread
 

@@ -583,8 +583,7 @@ def test_cli_stdout_digests(capsys, command):
 def test_audit_chain_exact_ratios_by_hand(capsys):
     # f_t / |H|: the share of the 360 orders of [7] whose power meets the
     # identity cycle in exactly t edges, counted over raw permutations
-    from rainbowlab.hampow import power_edge_set
-    from tests.test_hampow import itertools_orders
+    from tests.test_hampow import itertools_orders, power_edge_set
 
     code, out, err = run_cli(capsys, "audit-chain", "--n", "7", "--k", "1")
     assert code == 0, err

@@ -25,6 +25,8 @@ from rainbowlab.hampow import (
     _ExtensionCounter,
     _member_tallies,
     _order_bytes,
+    _power_of,
+    _power_table,
     _positions,
     _prop2_rows,
     _shape,
@@ -36,7 +38,6 @@ from rainbowlab.hampow import (
     enumerate_family,
     f_chain_bound,
     order_count,
-    power_edge_set,
     prop1_bound,
     prop2_bound,
 )
@@ -44,11 +45,21 @@ from rainbowlab.hypergraph import (
     DISTINCT_SETS,
     LABELED_ORDERS,
     GroundSet,
-    count_superedges,
     format_hypergraph_text,
     pair_id,
     pair_of,
 )
+from tests.test_hypergraph import count_superedges
+
+
+def power_edge_set(order, k):
+    """Sorted element ids of the k-th power of the given cyclic order, one
+    order at a time: the oracle for the batch kernels."""
+    n = len(order)
+    PowerParams(n, k)
+    if sorted(order) != list(range(n)):
+        raise InputError("order must be a permutation of 0..n-1")
+    return _power_of(order, *_power_table(n, k))
 
 
 def itertools_orders(n):

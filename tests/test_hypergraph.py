@@ -17,8 +17,8 @@ from rainbowlab.hypergraph import (
     LABELED_ORDERS,
     GroundSet,
     Hypergraph,
+    _mask_of,
     alpha_cut,
-    count_superedges,
     format_hypergraph_text,
     intersection_profile,
     max_profile,
@@ -28,6 +28,14 @@ from rainbowlab.hypergraph import (
     required_k0,
     spread_up_to,
 )
+
+
+def count_superedges(hg, elements):
+    """Number of members containing every given element (multiplicity
+    counted): the oracle for spread witnesses.  The empty set is contained
+    in everything, so count_superedges(hg, ()) is the family size."""
+    smask = _mask_of(elements, hg.ground)
+    return sum(1 for m in hg.masks if m & smask == smask)
 
 
 def cycle_edge_sets(n):

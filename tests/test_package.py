@@ -222,33 +222,27 @@ def test_private_name_scan_sees_a_dead_definition():
     ]
 
 
-# exported functions that no package or benchmark code reads, with the reason
-# each stays public
+# public functions that no package or benchmark code reads yet, with the
+# report (a ROADMAP direction) that is to read each
 EXPORT_EXCEPTIONS = {
-    "expected_nu_r": "acceptance criterion 7 checks it; no CLI report reads it yet",
+    "expected_nu_r": "direction 5's chain report",
+    "fsum_ratio_bound": "direction 5's chain report",
 }
 
 
 def _unread_exports(sources: dict[str, str], readers: dict[str, str]) -> list[str]:
-    """Functions a module lists in __all__ that neither the package (outside
-    their def and __all__ entry) nor the readers read.  Tests are no readers:
-    a function only tests call is no public surface."""
+    """Public top-level functions and classes, listed in __all__ or not, that
+    neither the package (outside their def and __all__ entry) nor the readers
+    read.  Tests are no readers: a function only tests call is a test oracle,
+    and belongs in the tests."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     read = _read_names([*trees.values(), *map(ast.parse, readers.values())])
-    found = []
-    for module, tree in trees.items():
-        exported = {
-            elt.value
-            for node in tree.body
-            if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
-            for elt in node.value.elts
-        }
-        found.extend(
-            f"{module} line {node.lineno}: {node.name}"
-            for node in tree.body
-            if isinstance(node, ast.FunctionDef) and node.name in exported and node.name not in read
-        )
-    return found
+    return [
+        f"{module} line {node.lineno}: {node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_") and node.name not in read
+    ]
 
 
 def test_every_exported_function_feeds_the_package_or_the_benchmark():
@@ -278,3 +272,23 @@ def test_export_scan_sees_an_unread_export():
     }
     assert _unread_exports(sources, {"run.py": "import rl\nrl.benched()\n"}) == ["a.py line 7: dead"]
     assert _unread_exports(sources, {}) == ["a.py line 7: dead", "a.py line 9: benched"]
+
+
+def test_export_scan_sees_public_names_left_out_of_all():
+    sources = {
+        "a.py": (
+            "__all__ = ['listed']\n"
+            "def listed():\n"
+            "    return Helper()\n"
+            "class Helper:\n"
+            "    pass\n"
+            "class Orphan:\n"
+            "    pass\n"
+            "def unlisted():\n"
+            "    pass\n"
+            "def _private():\n"
+            "    pass\n"
+        ),
+        "b.py": "from .a import listed\n",
+    }
+    assert _unread_exports(sources, {}) == ["a.py line 6: Orphan", "a.py line 8: unlisted"]
