@@ -32,6 +32,7 @@ as degenerate and enters no rate.  The failure rates are fitted to
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
@@ -226,14 +227,11 @@ def classify_fragments(hstar: Hypergraph, w0: Sequence[int], omega: int) -> Clas
     w0_mask = _mask_of(w0, hstar.ground)
     records = tuple(_min_fragment(hstar, i, w0_mask, omega) for i in range(len(hstar.edges)))
     bad = sum(1 for rec in records if not rec.good)
-    hist: dict[int, int] = {}
-    for rec in records:
-        hist[rec.ell] = hist.get(rec.ell, 0) + 1
     return ClassificationOutcome(
         records=records,
         success=2 * bad <= len(records),
         bad_count=bad,
-        histogram=dict(sorted(hist.items())),
+        histogram=dict(sorted(Counter(rec.ell for rec in records).items())),
     )
 
 
@@ -270,15 +268,10 @@ def run_third_stage(
     w1 = [x for x in range(config.n_elements) if not (w0_mask >> x) & 1 and rng.random() < p1]
     w1_mask = _mask(w1)
 
-    fresh: dict[int, int] = {}
-    if config.coloring_mode == STAGED:
-        for x in w1:
-            fresh[x] = rng.randrange(q)
+    fresh = {x: rng.randrange(q) for x in w1} if config.coloring_mode == STAGED else {}
 
     pool = [rec for rec in records if rec.good and rec.ell >= 1]
-    tallies: dict[int, int] = {}
-    for rec in pool:
-        tallies[rec.ell] = tallies.get(rec.ell, 0) + 1
+    tallies = Counter(rec.ell for rec in pool)
 
     accepted = 0
     cols = coloring.colors
@@ -448,9 +441,8 @@ def omega_sweep(config: TwoRoundConfig, omegas: Iterable[int], trials: int) -> d
     """First-round failure rate and mean bad count at each distinct omega,
     over trials seeded from config.seed, and the fitted failure constant.
 
-    config.omega is not read.  Degenerate trials (empty H*) are counted
-    apart, and the rates read only the others; when every trial is
-    degenerate the rates are None and the fit is unavailable.
+    config.omega is not read.  Degenerate trials (empty H*) are counted apart
+    and enter no rate; when every trial is degenerate the rates are None.
     """
     omegas = sorted(set(omegas))
     if not omegas or omegas[0] < 1 or trials < 1:
