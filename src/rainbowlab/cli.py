@@ -127,7 +127,7 @@ def cmd_spread(args) -> int:
 def cmd_profile(args) -> int:
     hg = _load_hypergraph(args)
     # the mode check asks a file for --kappa: it has no nominal n^(1/k)
-    kappa = args.kappa if args.kappa is not None else float(args.n) ** (1.0 / args.k)
+    kappa = args.kappa if args.kappa is not None else hampow.PowerParams(args.n, args.k).kappa_hat
     report = required_k0(hg, kappa, args.alpha, pair_budget=args.pair_budget)
     payload = {
         "kappa": report.kappa,

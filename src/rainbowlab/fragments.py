@@ -41,7 +41,6 @@ from .hypergraph import DISTINCT_SETS, Hypergraph, _mask, _mask_of
 from .hampow import PowerParams, enumerate_family, DEFAULT_ORDER_BUDGET
 from .rainbow import Coloring, falling, expected_rainbow_count, random_coloring, rainbow_subfamily
 from .seeding import make_rng, mix
-from .threshold import _exposure_size
 
 UPFRONT = "upfront"
 STAGED = "staged"
@@ -79,8 +78,8 @@ def default_omega(r: int) -> int:
 class TwoRoundConfig:
     """Parameters of one two-round trial over a Hamilton-power family.
 
-    The exposure size is m = min(N, ceil(C * N / kappa_hat)) with the nominal
-    spread kappa_hat = n^(1/k), and p1 = m/N.
+    The exposure size is m = params.exposure(C) = min(N, ceil(C * N /
+    kappa_hat)) with the nominal spread kappa_hat = n^(1/k), and p1 = m/N.
     """
 
     q: int
@@ -117,12 +116,8 @@ class TwoRoundConfig:
         return self.params.r
 
     @property
-    def kappa_nominal(self) -> float:
-        return self.params.n ** (1 / self.params.k)
-
-    @property
     def m(self) -> int:
-        return _exposure_size(self.C, self.params.n, self.params.k)
+        return self.params.exposure(self.C)
 
     @property
     def p1(self) -> float:
@@ -146,7 +141,7 @@ class TwoRoundConfig:
             "epsilon1": self.epsilon1,
             "omega": self.omega_resolved,
             "coloring_mode": self.coloring_mode,
-            "kappa_hat": self.kappa_nominal,
+            "kappa_hat": self.params.kappa_hat,
             "seed": self.seed,
         }
 
@@ -160,14 +155,14 @@ def sample_w0(n_elements: int, m: int, rng) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class FragmentRecord:
-    """Minimum fragment of one rainbow member against the first exposure.
+    """Minimum fragment of one rainbow member against the first exposure;
+    classify_fragments lists them in member order.
 
     t_star is B* \\ W0 for the minimizing member B* (source_index); ell is its
     size; good means ell < omega.  T* never meets W0, and ell <= |A* \\ W0|
     since B* = A* is always a candidate.
     """
 
-    edge_index: int
     source_index: int
     t_star: tuple[int, ...]
     ell: int
@@ -194,7 +189,6 @@ def _min_fragment(hstar: Hypergraph, astar_index: int, w0_mask: int, omega: int)
     t_star = tuple(x for x in hstar.edges[best_idx] if not (w0_mask >> x) & 1)
     assert len(t_star) == best_ell
     return FragmentRecord(
-        edge_index=astar_index,
         source_index=best_idx,
         t_star=t_star,
         ell=best_ell,
@@ -237,7 +231,6 @@ def classify_fragments(hstar: Hypergraph, w0: Sequence[int], omega: int) -> Clas
 
 @dataclass(frozen=True)
 class ThirdStageOutcome:
-    w1: tuple[int, ...]
     nu_r: int
     found_rainbow: bool
     tallies: dict[int, int] = field(default_factory=dict)
@@ -290,7 +283,6 @@ def run_third_stage(
     exposed = w0_mask | w1_mask
     found = any(b & ~exposed == 0 for b in hstar.masks)
     return ThirdStageOutcome(
-        w1=tuple(w1),
         nu_r=accepted,
         found_rainbow=found,
         tallies=dict(sorted(tallies.items())),
@@ -419,8 +411,6 @@ class FailureFit:
     """
 
     c: float | None
-    residuals: tuple[float, ...]
-    used: tuple[tuple[int, float], ...]
     available: bool
     reason: str | None = None
 
@@ -429,12 +419,10 @@ def fit_failure_constant(points: Iterable[tuple[int, float]]) -> FailureFit:
     usable = [(w, f) for w, f in points if 0.0 < f < 1.0]
     if len(usable) < 3:
         reason = f"need >= 3 failure rates strictly inside (0, 1), have {len(usable)}"
-        return FailureFit(c=None, residuals=(), used=tuple(usable), available=False, reason=reason)
+        return FailureFit(c=None, available=False, reason=reason)
     num = sum(w * (math.log(f) - math.log(2.0)) for w, f in usable)
     den = sum(w * w for w, _ in usable)
-    log_c = num / den
-    residuals = tuple(math.log(f) - (math.log(2.0) + w * log_c) for w, f in usable)
-    return FailureFit(c=math.exp(log_c), residuals=residuals, used=tuple(usable), available=True)
+    return FailureFit(c=math.exp(num / den), available=True)
 
 
 def omega_sweep(config: TwoRoundConfig, omegas: Iterable[int], trials: int) -> dict:
@@ -468,5 +456,5 @@ def omega_sweep(config: TwoRoundConfig, omegas: Iterable[int], trials: int) -> d
         fit = fit_failure_constant((row["omega"], row["failure_rate"]) for row in rows)
     else:
         reason = f"all {trials} trials are degenerate: no coloring left a rainbow member"
-        fit = FailureFit(c=None, residuals=(), used=(), available=False, reason=reason)
+        fit = FailureFit(c=None, available=False, reason=reason)
     return {"rows": rows, "fit": {"c": fit.c, "available": fit.available, "reason": fit.reason}}

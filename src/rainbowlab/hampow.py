@@ -81,6 +81,19 @@ class PowerParams:
         """Largest subgraph size admitted by the counting bounds: floor(n/3k)."""
         return self.n // (3 * self.k)
 
+    @property
+    def kappa_hat(self) -> float:
+        """The nominal spread n^(1/k)."""
+        return self.n ** (1 / self.k)
+
+    def exposure(self, C: float) -> int:
+        """m = min(N, ceil(C * N / kappa_hat)) over the N = n(n-1)/2 edge slots
+        of K_n.  The min comes before the ceiling, so a C whose product passes
+        the float range gives m = N."""
+        if not 0 < C < math.inf:
+            raise InputError(f"exposure multiplier C must be positive and finite, got {C}")
+        return math.ceil(min(self.ground_size, C * self.ground_size / self.kappa_hat))
+
 
 def order_count(n: int) -> int:
     """Number of canonical cyclic orders of [n]: (n-1)!/2."""
@@ -93,20 +106,6 @@ def orders_fit(n: int, budget: int) -> bool:
     if budget < 0:
         raise InputError(f"enumeration budget must be >= 0, got {budget}")
     return n <= _MAX_ENUMERATION_N and order_count(n) <= budget
-
-
-def _power_table(n: int, k: int) -> tuple[list[list[int | None]], tuple[tuple[int, int], ...]]:
-    """pid[a][b] = pair_id(a, b), and the position links (i, i+j mod n), j = 1..k."""
-    pid = [[pair_id(a, b) if a != b else None for b in range(n)] for a in range(n)]
-    links = tuple((i, (i + j) % n) for i in range(n) for j in range(1, k + 1))
-    return pid, links
-
-
-def _power_of(order: Sequence[int], pid, links) -> tuple[int, ...]:
-    """Sorted element ids of the power of a valid order, from its _power_table."""
-    ids = {pid[order[i]][order[j]] for i, j in links}
-    assert len(ids) == len(links), "power must have exactly kn edges for n >= 2k+2"
-    return tuple(sorted(ids))
 
 
 @dataclass(frozen=True)
@@ -328,30 +327,11 @@ def prop2_bound(k: int, t: int, c: int) -> float:
         return math.inf
 
 
-def component_tally(edge_ids: Sequence[int], t: int, reading: str) -> dict[int, int]:
-    """Tally subgraph counts by component count under the chosen reading.
-
-    reading "a": edge_ids is itself the fixed t-edge subgraph; tally its
-    nonempty edge-subsets (any size) by component count.
-    reading "b": edge_ids is the host member; tally its t-edge subgraphs by
-    component count.
-    """
-    ids = tuple(sorted(set(edge_ids)))
-    if reading == "a":
-        if len(ids) != t:
-            raise InputError(
-                f"reading (a) takes the t-edge subgraph itself; got {len(ids)} edges for t={t}"
-            )
-        sizes = range(1, t + 1)
-    elif reading == "b":
-        if t < 1 or t > len(ids):
-            raise InputError(f"t={t} out of range for a host with {len(ids)} edges")
-        # brute force, kept as the oracle of _member_tallies
-        sizes = (t,)
-    else:
-        raise InputError(f"reading must be 'a' or 'b', got {reading!r}")
-    ends = _ends(ids)
-    subs = chain.from_iterable(combinations(ends, size) for size in sizes)
+def component_tally(edge_ids: Sequence[int]) -> dict[int, int]:
+    """Reading (a): tally the nonempty edge-subsets (any size) of the
+    subgraph edge_ids by component count."""
+    ends = _ends(sorted(set(edge_ids)))
+    subs = chain.from_iterable(combinations(ends, size) for size in range(1, len(ends) + 1))
     return dict(Counter(map(len, map(_merge, subs))))
 
 
@@ -644,8 +624,9 @@ def _audit(
     params = PowerParams(n, k)
     if budget < 0:
         raise InputError(f"work budget must be >= 0, got {budget}")
-    pid, links = _power_table(n, k)
-    member = _power_of(range(n), pid, links)
+    # the identity power M, and the pair ids that _dihedral_key reads
+    pid = [[pair_id(a, b) if a != b else None for b in range(n)] for a in range(n)]
+    member = tuple(sorted(pid[i][(i + j) % n] for i in range(n) for j in range(1, k + 1)))
     sizes = range(1, params.t_max + 1)
     walked = sum(math.comb(len(member), t) for t in sizes)
     if walked > budget:
@@ -737,7 +718,7 @@ def audit_prop2_reading_a(n: int, k: int, budget: int = DEFAULT_ORDER_BUDGET) ->
     edge-subsets by component count must sit under the bound at t = |T|."""
 
     def rows_of(sub, *_):
-        return _prop2_rows(n, k, len(sub), component_tally(sub, len(sub), "a"))
+        return _prop2_rows(n, k, len(sub), component_tally(sub))
 
     return _audit("prop2a", n, k, budget, rows_of)
 
@@ -748,8 +729,8 @@ def audit_prop2_reading_b(n_values: Iterable[int], k: int) -> AuditReport:
     Member powers are vertex-transitive, so one member per (n, k) represents
     them all: the identity order's power.  Every (t, c) cell for t <= n/3k
     comes from one transfer-matrix sweep around it (_member_tallies), so n
-    in the hundreds is cheap; brute force over t-subsets (component_tally)
-    is kept only as the test oracle.  `checked` counts the tallied subgraphs,
+    in the hundreds is cheap; brute force over t-subsets is left to the
+    tests, as its oracle.  `checked` counts the tallied subgraphs,
     sum_t C(kn, t).  All cells are reported and violations listed -- this
     reading genuinely fails at desk scale (first at n=22, k=1, t=1, c=1,
     where a cycle has n single-edge subgraphs against a bound just under 22).

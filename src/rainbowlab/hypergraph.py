@@ -201,7 +201,6 @@ class SpreadReport:
     than s_max could only lower it), and is non-increasing in s_max.
     """
 
-    s_max: int
     kappa_s: float
     witness: tuple[int, ...]
     witness_count: int
@@ -246,7 +245,6 @@ def spread_up_to(hg: Hypergraph, s_max: int) -> SpreadReport:
                     best_count = cnt
 
     return SpreadReport(
-        s_max=s_max,
         kappa_s=best_kappa,
         witness=best_set,
         witness_count=best_count,
@@ -327,13 +325,6 @@ class K0Report:
     fmax: tuple[int, ...]
     k0_min: dict[int, float | None]
     spreadf_ok: dict[int, bool]
-
-    def passes(self, k0: float, rel_tol: float = 1e-12) -> bool:
-        """Whether K0 = k0 satisfies every small-t constraint."""
-        for need in self.k0_min.values():
-            if need is not None and need > k0 * (1 + rel_tol):
-                return False
-        return True
 
 
 def required_k0(

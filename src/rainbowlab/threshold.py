@@ -96,7 +96,6 @@ class TrialResult:
 
     found: bool | None
     nodes: int
-    elapsed: float
     witness: tuple[int, ...] | None = None
 
 
@@ -124,7 +123,6 @@ def rainbow_power_search(
     result carries found=None.  A found witness is re-validated edge by edge
     before being returned, guarding the pruning logic.
     """
-    t0 = time.perf_counter()
     n, k = inst.n, inst.k
     if budget < 1:
         raise InputError(f"node budget must be >= 1, got {budget}")
@@ -133,8 +131,6 @@ def rainbow_power_search(
     adj = [0] * n
     for eid, _ in inst.edge_colors:
         u, v = pair_of(eid)
-        if v >= n:
-            raise InputError(f"element id {eid} is no edge slot of K_{n}")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
 
@@ -145,7 +141,7 @@ def rainbow_power_search(
         or require_rainbow and len({c for _, c in inst.edge_colors}) < k * n
         or any(adj[v].bit_count() < 2 * k for v in range(n))
     ):
-        return TrialResult(False, 0, time.perf_counter() - t0)
+        return TrialResult(False, 0)
 
     # the edge grid: free holds bits u*n + v and v*n + u while edge uv's class
     # is unused.  A class mask is its edges' grid bits plus tag bit n*n + its
@@ -183,7 +179,7 @@ def rainbow_power_search(
         if not avail:
             level -= 1
             if level == 0:
-                return TrialResult(False, nodes, time.perf_counter() - t0)
+                return TrialResult(False, nodes)
             unplaced ^= 1 << seq[level]
             free ^= placed[level]
             link = links[level]
@@ -202,12 +198,12 @@ def rainbow_power_search(
 
         nodes += 1
         if nodes > budget:
-            return TrialResult(None, nodes, time.perf_counter() - t0)
+            return TrialResult(None, nodes)
         seq[level] = v
         if level == n - 1:
             witness = tuple(seq)
             _revalidate(inst, witness, require_rainbow)
-            return TrialResult(True, nodes, time.perf_counter() - t0, witness)
+            return TrialResult(True, nodes, witness)
         unplaced ^= low
         free ^= new
         placed[level] = new
@@ -224,23 +220,14 @@ def rainbow_power_search(
 # ----------------------------------------------------------------------------
 # grids
 
-def _exposure_size(c: float, n: int, k: int) -> int:
-    """m = min(N, ceil(C * N / n^(1/k))) over the N = n(n-1)/2 edge slots of
-    K_n, with the nominal spread n^(1/k).  The min comes before the ceiling,
-    so a C whose product passes the float range gives m = N."""
-    if not 0 < c < math.inf:
-        raise InputError(f"exposure multiplier C must be positive and finite, got {c}")
-    big_n = n * (n - 1) // 2
-    return math.ceil(min(big_n, c * big_n / n ** (1 / k)))
-
-
-def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[float, float]:
-    """Two-sided Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Two-sided 95% Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise InputError("Wilson interval needs at least one trial")
     if not 0 <= successes <= trials:
         raise InputError(f"successes {successes} out of range 0..{trials}")
     p_hat = successes / trials
+    z = WILSON_Z
     z2 = z * z
     denom = 1 + z2 / trials
     center = (p_hat + z2 / (2 * trials)) / denom
@@ -252,7 +239,8 @@ def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[f
 class ExperimentConfig:
     """One (n, k, q) with a grid of exposure sizes, given as C values or m values.
 
-    A C value maps to m = min(N, ceil(C * N / n^(1/k))).
+    A C value maps to m = PowerParams(n, k).exposure(C), and an m value to
+    C = m * n^(1/k) / N.
     """
 
     n: int
@@ -284,16 +272,16 @@ class ExperimentConfig:
 
     def points(self) -> list[tuple[float, int]]:
         """(C, m) per grid point, sorted canonically by (m, C)."""
+        params = PowerParams(self.n, self.k)
         if self.c_grid is not None:
-            out = [(c, _exposure_size(c, self.n, self.k)) for c in self.c_grid]
+            out = [(c, params.exposure(c)) for c in self.c_grid]
         else:
-            big_n = PowerParams(self.n, self.k).ground_size
-            kappa_hat = self.n ** (1 / self.k)
+            big_n = params.ground_size
             out = []
             for m in self.m_grid:
                 if not 0 <= m <= big_n:
                     raise InputError(f"m={m} out of range 0..{big_n}")
-                out.append((m * kappa_hat / big_n, m))
+                out.append((m * params.kappa_hat / big_n, m))
         return sorted(set(out), key=lambda p: (p[1], p[0]))
 
 
@@ -393,8 +381,9 @@ def _run_tasks(config: ExperimentConfig, tasks: list[tuple[int, int, int]]) -> l
     for point_idx, m, trial_idx in tasks:
         rng = make_rng(config.seed, point_idx, trial_idx)
         inst = sample_instance(config.n, config.k, config.q, m, rng)
+        t0 = time.perf_counter()
         res = rainbow_power_search(inst, require_rainbow=config.require_rainbow, budget=config.budget)
-        out.append((-1 if res.found is None else int(res.found), res.nodes, res.elapsed))
+        out.append((-1 if res.found is None else int(res.found), res.nodes, time.perf_counter() - t0))
     return out
 
 

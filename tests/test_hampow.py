@@ -24,9 +24,8 @@ from rainbowlab.hampow import (
     _ends,
     _ExtensionCounter,
     _member_tallies,
+    _merge,
     _order_bytes,
-    _power_of,
-    _power_table,
     _positions,
     _prop2_rows,
     _shape,
@@ -59,7 +58,15 @@ def power_edge_set(order, k):
     PowerParams(n, k)
     if sorted(order) != list(range(n)):
         raise InputError("order must be a permutation of 0..n-1")
-    return _power_of(order, *_power_table(n, k))
+    ids = {pair_id(order[i], order[(i + j) % n]) for i in range(n) for j in range(1, k + 1)}
+    assert len(ids) == k * n, "power must have exactly kn edges for n >= 2k+2"
+    return tuple(sorted(ids))
+
+
+def reading_b_tally(member, t):
+    """The t-edge subgraphs of a member by component count, by brute force
+    over its t-subsets: reading (b), the oracle of _member_tallies."""
+    return dict(Counter(len(_merge(sub)) for sub in combinations(_ends(member), t)))
 
 
 def itertools_orders(n):
@@ -265,8 +272,7 @@ def test_hypergraph_rejects_unknown_semantics():
 
 
 def test_each_order_power_is_computed_once(monkeypatch):
-    # one batch-kernel call computes every order's power of a family; the
-    # per-order _power_of is left to power_edge_set and the audits
+    # one batch-kernel call computes every order's power of a family
     import rainbowlab.hampow as hampow
 
     calls = []
@@ -276,12 +282,8 @@ def test_each_order_power_is_computed_once(monkeypatch):
         calls.append((n, k))
         return batch_powers(buf, n, k)
 
-    def per_order(*args):
-        raise AssertionError("enumeration computed a power order by order")
-
     monkeypatch.setattr(hampow, "_family_cache", {})
     monkeypatch.setattr(hampow, "_batch_powers", counting)
-    monkeypatch.setattr(hampow, "_power_of", per_order)
     fam = enumerate_family(PowerParams(7, 1))
     fam.hypergraph(LABELED_ORDERS).masks
     assert enumerate_family(PowerParams(7, 1)) is fam
@@ -464,7 +466,7 @@ def test_component_tally_reading_a_matches_brute_force():
         member = power_edge_set(next(itertools_orders(n)), k)
         for t_set in (member[:3], member[-4:], member[::3][:4]):
             t = len(t_set)
-            tally = component_tally(t_set, t, reading="a")
+            tally = component_tally(t_set)
             want = {}
             for size in range(1, t + 1):
                 for sub in combinations(t_set, size):
@@ -505,12 +507,7 @@ def test_reading_a_tallies_once_per_class(monkeypatch, n, k):
             key = tuple(bfs_components(sub)) if k == 1 else dihedral_class(sub, n)
             firsts.setdefault(key, sub)
     assert len(firsts) > 1
-    assert calls == [(sub, len(sub), "a") for sub in firsts.values()]
-
-
-def test_component_tally_reading_a_requires_exact_size():
-    with pytest.raises(InputError):
-        component_tally((0, 1, 2), 2, reading="a")
+    assert calls == [(sub,) for sub in firsts.values()]
 
 
 def test_component_tally_reading_b_matches_brute_force():
@@ -522,7 +519,7 @@ def test_component_tally_reading_b_matches_brute_force():
     ]
     for order, k, t in cases:
         member = power_edge_set(order, k)
-        tally = component_tally(member, t, reading="b")
+        tally = reading_b_tally(member, t)
         want = {}
         for sub in combinations(member, t):
             c = len(bfs_components(sub))
@@ -540,7 +537,7 @@ def test_member_tallies_match_brute_force():
             tallies = _member_tallies(n, k, t_top)
             assert tallies[0] == {}
             for t in range(1, t_top + 1):
-                assert tallies[t] == component_tally(member, t, "b"), (n, k, t)
+                assert tallies[t] == reading_b_tally(member, t), (n, k, t)
 
 
 def test_member_tallies_match_the_cycle_closed_form():

@@ -222,11 +222,12 @@ def test_private_name_scan_sees_a_dead_definition():
     ]
 
 
-# public functions that no package or benchmark code reads yet, with the
-# report (a ROADMAP direction) that is to read each
+# public functions and class members that no package or benchmark code
+# reads yet, with the report (a ROADMAP direction) that is to read each
 EXPORT_EXCEPTIONS = {
     "expected_nu_r": "direction 5's chain report",
     "fsum_ratio_bound": "direction 5's chain report",
+    "ThirdStageOutcome.tallies": "direction 5's chain report",
 }
 
 
@@ -245,13 +246,19 @@ def _unread_exports(sources: dict[str, str], readers: dict[str, str]) -> list[st
     ]
 
 
-def test_every_exported_function_feeds_the_package_or_the_benchmark():
+def _package_and_bench() -> tuple[dict[str, str], dict[str, str]]:
+    """The package's sources and the benchmark's, by file name."""
     package = Path(rainbowlab.__file__).parent
     bench = Path(__file__).resolve().parents[1] / "bench"
     sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
     readers = {path.name: path.read_text() for path in sorted(bench.glob("*.py"))}
-    unread = _unread_exports(sources, readers)
-    assert [line.rsplit(" ", 1)[1] for line in unread] == sorted(EXPORT_EXCEPTIONS), unread
+    return sources, readers
+
+
+def test_every_exported_function_feeds_the_package_or_the_benchmark():
+    unread = _unread_exports(*_package_and_bench())
+    top_level = sorted(name for name in EXPORT_EXCEPTIONS if "." not in name)
+    assert [line.rsplit(" ", 1)[1] for line in unread] == top_level, unread
 
 
 def test_export_scan_sees_an_unread_export():
@@ -292,3 +299,127 @@ def test_export_scan_sees_public_names_left_out_of_all():
         "b.py": "from .a import listed\n",
     }
     assert _unread_exports(sources, {}) == ["a.py line 6: Orphan", "a.py line 8: unlisted"]
+
+
+def _unread_members(sources: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """Public fields, properties and methods of public top-level classes
+    whose name neither the package nor the readers load as an attribute.
+    Keyword arguments and stores are no reads, and tests are no readers."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    loaded = {
+        node.attr
+        for tree in [*trees.values(), *map(ast.parse, readers.values())]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    found = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    name = node.target.id
+                elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    name = node.name
+                else:
+                    continue
+                if not name.startswith("_") and name not in loaded:
+                    found.append(f"{module} line {node.lineno}: {cls.name}.{name}")
+    return found
+
+
+def test_every_public_member_feeds_the_package_or_the_benchmark():
+    unread = _unread_members(*_package_and_bench())
+    members = sorted(name for name in EXPORT_EXCEPTIONS if "." in name)
+    assert [line.rsplit(" ", 1)[1] for line in unread] == members, unread
+
+
+def test_member_scan_sees_an_unread_field_property_and_method():
+    sources = {
+        "a.py": (
+            "class Report:\n"
+            "    size: int\n"
+            "    dead: int\n"
+            "    tested: int\n"
+            "    _inner: int\n"
+            "    LIMIT = 3\n"
+            "    @property\n"
+            "    def ratio(self):\n"
+            "        return self.size\n"
+            "    @property\n"
+            "    def unused(self):\n"
+            "        return 0\n"
+            "    def to_json(self):\n"
+            "        return {}\n"
+            "    def spare(self):\n"
+            "        self.dead = 1\n"
+            "    def __len__(self):\n"
+            "        return 0\n"
+            "class _Hidden:\n"
+            "    gone: int\n"
+            "def make():\n"
+            "    return Report(dead=1)\n"
+        ),
+    }
+    # Report.tested is read only by a test, which is no reader: it is flagged
+    readers = {"run.py": "import rl\nrl.make().ratio\nprint(rl.make().to_json())\n"}
+    assert _unread_members(sources, readers) == [
+        "a.py line 3: Report.dead",
+        "a.py line 4: Report.tested",
+        "a.py line 11: Report.unused",
+        "a.py line 15: Report.spare",
+    ]
+    assert len(_unread_members(sources, {})) == 6  # also ratio and to_json
+
+
+# each module imports only from strictly earlier layers; __init__ re-exports
+# them all and is no layer
+LAYERS = (
+    {"errors"},
+    {"seeding"},
+    {"hypergraph"},
+    {"hampow"},
+    {"rainbow"},
+    {"threshold", "fragments"},
+    {"cli"},
+)
+
+
+def _layer_breaches(sources: dict[str, str], layers) -> list[str]:
+    """The relative imports of a package module from its own layer or a
+    later one, whether the import names the module or a name in it."""
+    rank = {module: i for i, layer in enumerate(layers) for module in layer}
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                targets = [node.module] if node.module else [alias.name for alias in node.names]
+                found.extend(
+                    f"{module} line {node.lineno}: {target}" for target in targets if rank[target] >= rank[module]
+                )
+    return found
+
+
+def test_each_module_imports_only_from_earlier_layers():
+    package = Path(rainbowlab.__file__).parent
+    sources = {path.stem: path.read_text() for path in sorted(package.glob("*.py")) if path.stem != "__init__"}
+    assert set(sources) == set().union(*LAYERS)
+    assert _layer_breaches(sources, LAYERS) == []
+    # the scan reads relative imports; no module imports the package by name
+    assert [hit for source in sources.values() for hit in _imports(source, {"rainbowlab"}.__contains__)] == []
+
+
+def test_layer_scan_sees_an_import_from_the_same_or_a_later_layer():
+    layers = ({"base"}, {"left", "right"}, {"top"})
+    sources = {
+        "base": "import os\n",
+        "left": "from .base import x\nfrom . import base\nfrom .right import y\n",
+        "right": "def f():\n    from .top import z\n",
+        "top": "from . import base, left, top\n",
+    }
+    assert _layer_breaches(sources, layers) == [
+        "left line 3: right",
+        "right line 2: top",
+        "top line 1: top",
+    ]
