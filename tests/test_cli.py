@@ -569,6 +569,8 @@ CLI_DIGESTS = {
     "fragment --n 8 --k 1 --C 4 --sweep 1,2,3,4,5,6,7 --sweep-trials 100 --seed 3": "93e0213ebba6d277a09e2d8152ae06bd127ad02e9cd2791ec0a4cecb1868223f",
     "fragment --n 8 --k 2 --C 3 --sweep 2,4,6,8,10,12 --sweep-trials 100 --seed 3": "00ceea37602a5f9b700614871eab071038e6ce06e44d036d581cad30db73a9c3",
     "fragment --n 9 --k 1 --C 3 --sweep 1,2,3,4 --sweep-trials 60 --seed 3": "fdc3f840f78bee12173af2ccc13033cfddb342261a8f627f487132ebc0d5ca7d",
+    # about 260 rainbow members per trial, so ties between minimum fragments occur
+    "fragment --n 10 --k 1 --C 4 --sweep 1,2,3,4 --sweep-trials 20 --seed 3": "704db6ffda5f554fb633e6f48f19f240dd59bccbb6bc23b555004a2d3bcc090d",
     "fragment --n 7 --k 1 --q 9 --C 4 --epsilon1 0.5 --mode staged --sweep 1,2,3 --sweep-trials 20 --seed 3": "8727c9d2c6dc37aff79dd3d1d773d34b60044f168eed84d1f0192d85f455e076",
 }
 

@@ -366,21 +366,34 @@ def test_run_two_round_upfront_mode_runs():
     assert rec.nu_r >= 0
 
 
+# sha256 of the JSON records at each omega, one line per record
+TWO_ROUND_PINS = {
+    1: "41fac3ec244ec46b1743905c52888afe284709bd08c2eb6bfd40a816a96f6ccf",
+    2: "cc950f3847ddab34b0ab089cd8ce2c1872a4d6fc573c265e53ccda59d50b66fc",
+    3: "4c5a454f292a85fe9c62131b21a5f443a8cf22e3c0f7cbb902f7929e20d8f403",
+}
+
+
 def test_two_round_records_are_pinned():
-    """1,800 records at (7, 1), omega 2, C 4, epsilon1 0.5: seeds 0..299 in
-    both modes at q = 7, 8 and 9, of which 300 are degenerate."""
-    digest = hashlib.sha256()
-    degenerate = 0
-    for q in (7, 8, 9):
-        for mode in (UPFRONT, STAGED):
-            for seed in range(300):
-                cfg = TwoRoundConfig(q=q, C=4.0, epsilon1=0.5, seed=seed, params=PowerParams(7, 1),
-                                     omega=2, coloring_mode=mode)
-                rec = run_two_round(cfg)
-                degenerate += rec.degenerate
-                digest.update(json.dumps(rec.to_json(), sort_keys=True).encode() + b"\n")
-    assert degenerate == 300
-    assert digest.hexdigest() == "cc950f3847ddab34b0ab089cd8ce2c1872a4d6fc573c265e53ccda59d50b66fc"
+    """1,800 records at (7, 1), C 4, epsilon1 0.5 for each omega 1, 2 and 3:
+    seeds 0..299 in both modes at q = 7, 8 and 9, of which 300 are
+    degenerate and 88 exit early."""
+    digests = {}
+    for omega in TWO_ROUND_PINS:
+        digest = hashlib.sha256()
+        degenerate = early = 0
+        for q in (7, 8, 9):
+            for mode in (UPFRONT, STAGED):
+                for seed in range(300):
+                    cfg = TwoRoundConfig(q=q, C=4.0, epsilon1=0.5, seed=seed, params=PowerParams(7, 1),
+                                         omega=omega, coloring_mode=mode)
+                    rec = run_two_round(cfg)
+                    degenerate += rec.degenerate
+                    early += rec.early_exit
+                    digest.update(json.dumps(rec.to_json(), sort_keys=True).encode() + b"\n")
+        assert (degenerate, early) == (300, 88)
+        digests[omega] = digest.hexdigest()
+    assert digests == TWO_ROUND_PINS
 
 
 # ----------------------------------------------------------------------------
