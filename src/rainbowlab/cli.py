@@ -491,7 +491,7 @@ MODES = (
     ),
     _Mode("moments", "with --trials 0", ("--seed",), when=lambda a: a.trials == 0),
     _Mode("moments", "with --q", ("--epsilon1",), when=lambda a: a.q is not None),
-    _Mode("fragment", "with --sweep", ("--omega",), when=lambda a: a.sweep is not None),
+    _Mode("fragment", "with --sweep", ("--omega", "--mode"), when=lambda a: a.sweep is not None),
     _Mode("fragment", "without --sweep", ("--sweep-trials",), when=lambda a: a.sweep is None),
     _Mode("threshold", "with --c-grid", ("--m-grid",), when=lambda a: a.c_grid is not None),
     _Mode("threshold", "without --c-grid", needs=("--m-grid",), when=lambda a: a.c_grid is None),

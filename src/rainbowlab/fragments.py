@@ -3,13 +3,16 @@
 The process: color the ground set, keep the rainbow subfamily H*, expose a
 uniform m-subset W0, and for each rainbow member A* find its minimum fragment
 T* = B* \\ W0 over members B* contained in A* u W0 (ties to the smallest
-member index).  Members whose fragment has ell = |T*| >= omega are bad; the
-first round succeeds when at most half of H* is bad.  A second exposure W1
-(independent p1 = m/N coin per remaining element) then tries to complete the
-good fragments; a fragment with ell >= 1 is accepted when it lands inside W1,
-survives an equalizing coin with probability (eps1*p1)^(omega-ell), and -- in
-staged coloring mode -- its freshly colored elements dodge the r-ell colors
-its member already carries, and each other.
+member index).  Fragments depend on the coloring and W0 alone; the cutoff
+omega enters afterwards, through ClassificationOutcome.bad_count and
+.success: members whose fragment has ell = |T*| >= omega are bad, and the
+first round succeeds when H* is nonempty and at most half of it is bad.  A
+second exposure W1 (independent p1 = m/N coin per remaining element) then
+tries to complete the good fragments; a fragment with 1 <= ell < omega is
+accepted when it lands inside W1, survives an equalizing coin with
+probability (eps1*p1)^(omega-ell), and -- in staged coloring mode -- its
+freshly colored elements dodge the r-ell colors its member already carries,
+and each other.
 
 Coloring modes.  "upfront" colors everything once, and acceptance is pure
 exposure (the member was rainbow from the start).  "staged" recolors W1 on
@@ -20,20 +23,18 @@ arrival, which is what the accepted-fragment expectation
 accounts for with its color factor; in upfront mode the color factor is
 dropped.  Both modes are first-class and every record names its mode.
 
-The omega sweep runs the first round once per trial and reads every omega
-from that trial's minimum-fragment sizes, which do not depend on omega: at
-omega, bad = #{ell >= omega}, and the trial fails when 2 * bad > |H*|.  Trial
-i draws its coloring and W0 from mix(seed, 0x7377_6565, i), the same streams
-at every omega.  A trial whose coloring leaves no rainbow member is counted
-as degenerate and enters no rate.  The failure rates are fitted to
-2 * c^omega.
+The omega sweep classifies each trial once and applies the same rule at
+every omega.  Trial i draws its coloring and W0 from mix(seed, 0x7377_6565,
+i), the same streams at every omega.  A trial whose coloring leaves no
+rainbow member is counted as degenerate and enters no rate.  The failure
+rates are fitted to 2 * c^omega.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError
@@ -159,72 +160,55 @@ class FragmentRecord:
     classify_fragments lists them in member order.
 
     t_star is B* \\ W0 for the minimizing member B* (source_index); ell is its
-    size; good means ell < omega.  T* never meets W0, and ell <= |A* \\ W0|
-    since B* = A* is always a candidate.
+    size.  T* never meets W0, and ell <= |A* \\ W0| since B* = A* is always
+    a candidate.
     """
 
     source_index: int
     t_star: tuple[int, ...]
     ell: int
-    good: bool
-
-
-def _min_fragment(hstar: Hypergraph, astar_index: int, w0_mask: int, omega: int) -> FragmentRecord:
-    """Scan H* for the member inside A* u W0 leaving the fewest elements
-    uncovered, for a member index in range, W0 as a checked bitmask and
-    omega >= 1."""
-    masks = hstar.masks
-    allowed = masks[astar_index] | w0_mask
-
-    best_ell = -1
-    best_idx = -1
-    for idx, b in enumerate(masks):
-        if b & ~allowed:
-            continue
-        ell = (b & ~w0_mask).bit_count()
-        if best_idx < 0 or ell < best_ell:
-            best_ell, best_idx = ell, idx
-    assert best_idx >= 0, "A* itself is always a candidate"
-
-    t_star = tuple(x for x in hstar.edges[best_idx] if not (w0_mask >> x) & 1)
-    assert len(t_star) == best_ell
-    return FragmentRecord(
-        source_index=best_idx,
-        t_star=t_star,
-        ell=best_ell,
-        good=best_ell < omega,
-    )
 
 
 @dataclass(frozen=True)
 class ClassificationOutcome:
-    """First-round verdict: success iff at most half the rainbow members are bad."""
+    """Minimum fragments of H* against W0, and how many have each size ell.
+
+    The first round's verdict at a cutoff omega is read from the histogram.
+    """
 
     records: tuple[FragmentRecord, ...]
-    success: bool
-    bad_count: int
-    histogram: dict[int, int] = field(default_factory=dict)
-    degenerate: bool = False
+    histogram: dict[int, int]
 
-    @property
-    def bad_fraction(self) -> float | None:
-        return self.bad_count / len(self.records) if self.records else None
+    def bad_count(self, omega: int) -> int:
+        """Members whose fragment has ell >= omega."""
+        return sum(count for ell, count in self.histogram.items() if ell >= omega)
+
+    def success(self, omega: int) -> bool:
+        """H* is nonempty and at most half of it is bad at omega."""
+        return bool(self.records) and 2 * self.bad_count(omega) <= len(self.records)
 
 
-def classify_fragments(hstar: Hypergraph, w0: Sequence[int], omega: int) -> ClassificationOutcome:
-    """Minimum fragments for every member of H*; empty H* is degenerate, not an error."""
-    if omega < 1:
-        raise InputError(f"omega must be >= 1, got {omega}")
-    if not hstar.edges:
-        return ClassificationOutcome(records=(), success=False, bad_count=0, degenerate=True)
-    # every member shares W0 and omega: both are checked once
+def classify_fragments(hstar: Hypergraph, w0: Sequence[int]) -> ClassificationOutcome:
+    """Minimum fragments for every member of H*, in member order; empty H*
+    gives no records.  W0 is checked once, before anything else.
+
+    With residues R = B \\ W0, a member B fits inside A u W0 exactly when
+    R_B is inside R_A.  So A's minimum fragment is the first residue inside
+    R_A in the order (|R_B|, index), and A itself ends that scan at the latest.
+    """
     w0_mask = _mask_of(w0, hstar.ground)
-    records = tuple(_min_fragment(hstar, i, w0_mask, omega) for i in range(len(hstar.edges)))
-    bad = sum(1 for rec in records if not rec.good)
+    residues = [b & ~w0_mask for b in hstar.masks]
+    ranked = sorted(enumerate(residues), key=lambda item: (item[1].bit_count(), item[0]))
+    records = []
+    for r_a in residues:
+        outside = ~r_a
+        idx = next((idx for idx, r_b in ranked if not r_b & outside), -1)
+        assert idx >= 0, "A* itself is always a candidate"
+        t_star = tuple(x for x in hstar.edges[idx] if not (w0_mask >> x) & 1)
+        assert len(t_star) == residues[idx].bit_count()
+        records.append(FragmentRecord(source_index=idx, t_star=t_star, ell=len(t_star)))
     return ClassificationOutcome(
-        records=records,
-        success=2 * bad <= len(records),
-        bad_count=bad,
+        records=tuple(records),
         histogram=dict(sorted(Counter(rec.ell for rec in records).items())),
     )
 
@@ -233,7 +217,6 @@ def classify_fragments(hstar: Hypergraph, w0: Sequence[int], omega: int) -> Clas
 class ThirdStageOutcome:
     nu_r: int
     found_rainbow: bool
-    tallies: dict[int, int] = field(default_factory=dict)
 
 
 def run_third_stage(
@@ -263,8 +246,7 @@ def run_third_stage(
 
     fresh = {x: rng.randrange(q) for x in w1} if config.coloring_mode == STAGED else {}
 
-    pool = [rec for rec in records if rec.good and rec.ell >= 1]
-    tallies = Counter(rec.ell for rec in pool)
+    pool = [rec for rec in records if 1 <= rec.ell < omega]
 
     accepted = 0
     cols = coloring.colors
@@ -282,11 +264,7 @@ def run_third_stage(
 
     exposed = w0_mask | w1_mask
     found = any(b & ~exposed == 0 for b in hstar.masks)
-    return ThirdStageOutcome(
-        nu_r=accepted,
-        found_rainbow=found,
-        tallies=dict(sorted(tallies.items())),
-    )
+    return ThirdStageOutcome(nu_r=accepted, found_rainbow=found)
 
 
 def expected_nu_r(
@@ -298,7 +276,8 @@ def expected_nu_r(
     omega: int,
     mode: str = STAGED,
 ) -> float:
-    """Exact expectation of the accepted-fragment count for given tallies.
+    """Exact expectation of the accepted-fragment count for given tallies,
+    the fragment counts by ell over the pool 1 <= ell < omega.
 
     Staged mode carries the fresh-color factor (q-r+ell)_ell / q^ell; upfront
     mode drops it.  Tally keys must lie in 1..omega.
@@ -356,42 +335,45 @@ class TwoRoundRecord:
         }
 
 
-def _first_round(config: TwoRoundConfig, hg: Hypergraph, omega: int):
+def _first_round(config: TwoRoundConfig, hg: Hypergraph):
     """Color, keep the rainbow subfamily H*, expose W0 and classify H*: the
     stages run_two_round and omega_sweep share.  Each draws from its own
     stream of config.seed."""
     coloring = random_coloring(config.n_elements, config.q, make_rng(config.seed, _STREAM_COLOR))
     hstar = rainbow_subfamily(hg, coloring)
     w0 = sample_w0(config.n_elements, config.m, make_rng(config.seed, _STREAM_W0))
-    return coloring, hstar, w0, classify_fragments(hstar, w0, omega)
+    return coloring, hstar, w0, classify_fragments(hstar, w0)
 
 
 def run_two_round(config: TwoRoundConfig) -> TwoRoundRecord:
-    """Color, expose, classify, and (unless a fragment is already complete)
-    run the second exposure.  Each stage draws from its own derived stream, so
-    the record is byte-identical across replays of the same seed.
+    """Color, expose, classify, judge the first round at config's omega, and
+    (unless a fragment is already complete) run the second exposure.  Each
+    stage draws from its own derived stream, so the record is byte-identical
+    across replays of the same seed.
 
-    A coloring with no rainbow member is recorded as degenerate: its
-    exposures accept and find nothing.  A good
-    fragment with ell = 0 means some member already sits inside W0; the trial
-    then exits early with found_rainbow set.
+    A coloring with no rainbow member is recorded as degenerate: its first
+    round fails, and its exposures accept and find nothing.  A fragment with
+    ell = 0 means some member already sits inside W0; the trial then exits
+    early with found_rainbow set.
     """
     hg = config.family()
-    coloring, hstar, w0, outcome = _first_round(config, hg, config.omega_resolved)
+    omega = config.omega_resolved
+    coloring, hstar, w0, outcome = _first_round(config, hg)
+    bad = outcome.bad_count(omega)
     base = dict(
         config=config.echo(),
         family_size=len(hg.edges),
         rainbow_size=len(hstar.edges),
         expected_rainbow=float(expected_rainbow_count(len(hg.edges), config.q, config.r)),
         mode=config.coloring_mode,
-        success=outcome.success,
-        bad_count=outcome.bad_count,
-        bad_fraction=outcome.bad_fraction,
+        success=outcome.success(omega),
+        bad_count=bad,
+        bad_fraction=bad / len(hstar.edges) if hstar.edges else None,
         histogram=outcome.histogram,
-        degenerate=outcome.degenerate,
+        degenerate=not hstar.edges,
     )
 
-    if any(rec.good and rec.ell == 0 for rec in outcome.records):
+    if 0 in outcome.histogram:
         return TwoRoundRecord(**base, nu_r=0, found_rainbow=True, early_exit=True)
 
     rng = make_rng(config.seed, _STREAM_STAGE3)
@@ -429,29 +411,31 @@ def omega_sweep(config: TwoRoundConfig, omegas: Iterable[int], trials: int) -> d
     """First-round failure rate and mean bad count at each distinct omega,
     over trials seeded from config.seed, and the fitted failure constant.
 
-    config.omega is not read.  Degenerate trials (empty H*) are counted apart
-    and enter no rate; when every trial is degenerate the rates are None.
+    Each trial is classified once, and every omega reads that one
+    classification through bad_count and success.  config.omega is not read.
+    Degenerate trials (empty H*) are counted apart and enter no rate; when
+    every trial is degenerate the rates are None.
     """
     omegas = sorted(set(omegas))
     if not omegas or omegas[0] < 1 or trials < 1:
         raise InputError(f"a sweep needs omegas >= 1 and trials >= 1, got {omegas} and {trials}")
     hg = config.family()
-    # (histogram, |H*|) per trial with a rainbow member; the ells do not
-    # depend on the omega given
-    live = []
+    # over the trials with a rainbow member (live), summed at each omega
+    live, bad, failures = 0, dict.fromkeys(omegas, 0), dict.fromkeys(omegas, 0)
     for i in range(trials):
         trial = replace(config, seed=mix(config.seed, 0x7377_6565, i))
-        outcome = _first_round(trial, hg, 1)[3]
+        outcome = _first_round(trial, hg)[3]
         if outcome.records:
-            live.append((outcome.histogram, len(outcome.records)))
+            live += 1
+            for omega in omegas:
+                bad[omega] += outcome.bad_count(omega)
+                failures[omega] += not outcome.success(omega)
 
     rows = []
     for omega in omegas:
-        bad = [sum(c for ell, c in hist.items() if ell >= omega) for hist, _ in live]
-        failures = sum(1 for b, (_, size) in zip(bad, live) if 2 * b > size)
-        rate, mean_bad = (failures / len(live), sum(bad) / len(live)) if live else (None, None)
-        rows.append({"omega": omega, "trials": trials, "degenerate": trials - len(live),
-                     "failures": failures, "failure_rate": rate, "mean_bad": mean_bad})
+        rate, mean_bad = (failures[omega] / live, bad[omega] / live) if live else (None, None)
+        rows.append({"omega": omega, "trials": trials, "degenerate": trials - live,
+                     "failures": failures[omega], "failure_rate": rate, "mean_bad": mean_bad})
     if live:
         fit = fit_failure_constant((row["omega"], row["failure_rate"]) for row in rows)
     else:

@@ -15,6 +15,7 @@ from itertools import permutations
 
 import rainbowlab as rl
 from rainbowlab.seeding import make_rng
+from tests.test_fragments import min_fragment_oracle
 
 
 def report(number: int, ok: bool, detail: str, t0: float) -> None:
@@ -115,14 +116,20 @@ def test_criterion_07_fragment_process():
     base = dict(q=9, C=4.0, epsilon1=0.5, params=rl.PowerParams(7, 1),
                 coloring_mode=rl.STAGED)
 
-    # (a) per-sample bad counts non-increasing in omega
+    # (a) per sample, the fragments of the one-pass scan match the scan of
+    # all of H* per member, bad counts are the members with ell >= omega,
+    # and they are non-increasing in omega
     violations = 0
     for s in range(100):
         cfg = rl.TwoRoundConfig(seed=s, omega=1, **base)
         coloring = rl.random_coloring(cfg.n_elements, cfg.q, make_rng(s, 1))
         hstar = rl.rainbow_subfamily(cfg.family(), coloring)
         w0 = rl.sample_w0(cfg.n_elements, cfg.m, make_rng(s, 2))
-        bads = [rl.classify_fragments(hstar, w0, omega).bad_count for omega in (1, 2, 3)]
+        out = rl.classify_fragments(hstar, w0)
+        want = min_fragment_oracle(hstar, w0)
+        assert [(rec.source_index, rec.t_star, rec.ell) for rec in out.records] == want, s
+        bads = [out.bad_count(omega) for omega in (1, 2, 3)]
+        assert bads == [sum(1 for _, _, ell in want if ell >= omega) for omega in (1, 2, 3)], s
         if not bads[0] >= bads[1] >= bads[2]:
             violations += 1
 
@@ -131,16 +138,16 @@ def test_criterion_07_fragment_process():
     coloring = rl.random_coloring(cfg.n_elements, cfg.q, make_rng(cfg.seed, 1))
     hstar = rl.rainbow_subfamily(cfg.family(), coloring)
     w0 = rl.sample_w0(cfg.n_elements, cfg.m, make_rng(cfg.seed, 2))
-    out = rl.classify_fragments(hstar, w0, 3)
+    out = rl.classify_fragments(hstar, w0)
+    tallies = {ell: count for ell, count in out.histogram.items() if 1 <= ell < 3}
+    assert tallies, "third-stage pool must be nonempty for the comparison to bite"
     trials = 10_000
-    total, total_sq, tallies = 0, 0, {}
+    total, total_sq = 0, 0
     for i in range(trials):
         stage = rl.run_third_stage(cfg, out.records, w0, coloring,
                                    make_rng(cfg.seed, 3, i), hstar=hstar)
         total += stage.nu_r
         total_sq += stage.nu_r * stage.nu_r
-        tallies = stage.tallies
-    assert tallies, "third-stage pool must be nonempty for the comparison to bite"
     mean = total / trials
     var = max(total_sq / trials - mean * mean, 0.0) * trials / (trials - 1)
     se = math.sqrt(var / trials)

@@ -394,8 +394,8 @@ MODE_ON = {
 # a value off its default for each flag that a mode leaves unread
 OFF_DEFAULT = {
     "--semantics": "labeled-orders", "--out-dir": "elsewhere", "--n": 8, "--k": 2, "--budget": 5,
-    "--n-min": 5, "--n-max": 6, "--seed": 4, "--epsilon1": 0.2, "--omega": 3, "--sweep-trials": 5,
-    "--m": 20, "--q": 9, "--m-grid": "3",
+    "--n-min": 5, "--n-max": 6, "--seed": 4, "--epsilon1": 0.2, "--omega": 3, "--mode": "staged",
+    "--sweep-trials": 5, "--m": 20, "--q": 9, "--m-grid": "3",
 }
 UNREAD = [(mode, flag) for mode in MODES for flag in mode.unread]
 NEEDED = [(mode, flag) for mode in MODES for flag in mode.needs]
@@ -571,7 +571,7 @@ CLI_DIGESTS = {
     "fragment --n 9 --k 1 --C 3 --sweep 1,2,3,4 --sweep-trials 60 --seed 3": "fdc3f840f78bee12173af2ccc13033cfddb342261a8f627f487132ebc0d5ca7d",
     # about 260 rainbow members per trial, so ties between minimum fragments occur
     "fragment --n 10 --k 1 --C 4 --sweep 1,2,3,4 --sweep-trials 20 --seed 3": "704db6ffda5f554fb633e6f48f19f240dd59bccbb6bc23b555004a2d3bcc090d",
-    "fragment --n 7 --k 1 --q 9 --C 4 --epsilon1 0.5 --mode staged --sweep 1,2,3 --sweep-trials 20 --seed 3": "8727c9d2c6dc37aff79dd3d1d773d34b60044f168eed84d1f0192d85f455e076",
+    "fragment --n 7 --k 1 --q 9 --C 4 --epsilon1 0.5 --sweep 1,2,3 --sweep-trials 20 --seed 3": "8727c9d2c6dc37aff79dd3d1d773d34b60044f168eed84d1f0192d85f455e076",
 }
 
 
@@ -937,7 +937,7 @@ def test_report_names_a_mistyped_field(capsys, tmp_path):
 def test_fragment_sweep_reports_rates_and_fit(capsys):
     code, out, _ = run_cli(
         capsys, "fragment", "--n", "7", "--k", "1", "--q", "9", "--C", "4",
-        "--epsilon1", "0.5", "--mode", "staged", "--sweep", "1,2,3",
+        "--epsilon1", "0.5", "--sweep", "1,2,3",
         "--sweep-trials", "20", "--seed", "3",
     )
     assert code == 0

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rainbowlab.cli import main
 from rainbowlab.errors import InputError
 from rainbowlab.fragments import (
     STAGED,
@@ -105,6 +106,15 @@ def test_config_family_builds_its_hypergraph_once(monkeypatch):
     assert len(views[0]) == 360 and views[0].transitive
 
 
+def test_omega_below_one_is_refused_by_config_and_cli(capsys):
+    with pytest.raises(InputError, match="omega must be >= 1, got 0"):
+        TwoRoundConfig(q=9, C=4.0, epsilon1=0.5, seed=1, params=PowerParams(7, 1), omega=0)
+    assert main(["fragment", "--n", "7", "--q", "9", "--seed", "1", "--omega", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == "error: omega must be >= 1, got 0"
+
+
 def test_config_rejects_bad_mode_and_slack():
     with pytest.raises(InputError):
         staged_config().__class__(
@@ -129,22 +139,63 @@ def test_sample_w0_sorted_and_deterministic():
 # ----------------------------------------------------------------------------
 # minimum fragments
 
+def min_fragment_oracle(hstar, w0):
+    """(source_index, t_star, ell) for each member A* by a scan of all of H*:
+    of the members inside A* u W0, the first with the fewest elements outside
+    W0."""
+    w0 = set(w0)
+    out = []
+    for a in hstar.edges:
+        best = None
+        for idx, b in enumerate(hstar.edges):
+            left = tuple(x for x in b if x not in w0)
+            if set(b) <= set(a) | w0 and (best is None or len(left) < best[2]):
+                best = (idx, left, len(left))
+        out.append(best)
+    return out
+
+
+@st.composite
+def families_and_exposures(draw):
+    """A small distinct-sets family with many equal-sized residues, and a W0."""
+    size = draw(st.integers(min_value=1, max_value=8))
+    r = draw(st.integers(min_value=1, max_value=min(size, 4)))
+    edge = st.lists(st.integers(0, size - 1), min_size=r, max_size=r, unique=True).map(sorted).map(tuple)
+    edges = draw(st.lists(edge, max_size=20, unique=True))
+    w0 = draw(st.lists(st.integers(0, size - 1), unique=True))
+    return Hypergraph(GroundSet(size), tuple(edges), r=r, semantics=DISTINCT_SETS), w0
+
+
+@settings(max_examples=300, deadline=None)
+@given(families_and_exposures())
+def test_classification_matches_the_oracle_and_the_literal_rule(case):
+    hstar, w0 = case
+    out = classify_fragments(hstar, w0)
+    want = min_fragment_oracle(hstar, w0)
+    assert [(rec.source_index, rec.t_star, rec.ell) for rec in out.records] == want
+    ells = [ell for _, _, ell in want]
+    assert out.histogram == {ell: ells.count(ell) for ell in sorted(set(ells))}
+    for omega in range(1, hstar.r + 2):
+        bad = sum(1 for ell in ells if ell >= omega)
+        assert out.bad_count(omega) == bad
+        assert out.success(omega) == (len(ells) > 0 and not 2 * bad > len(ells))
+
+
 def test_min_fragment_picks_smallest_leftover():
     hstar = toy_hstar()
     # W0 = {1, 2, 3}: member 0 leaves {0}, member 1 leaves {}, member 2 leaves
     # {4, 5}, member 3 leaves {0, 4}.  For A* = member 0 the candidates are
     # those inside A* u W0 = {0,1,2,3}: members 0 and 1; member 1 wins with 0
-    rec = classify_fragments(hstar, (1, 2, 3), omega=2).records[0]
+    rec = classify_fragments(hstar, (1, 2, 3)).records[0]
     assert rec.source_index == 1
     assert rec.ell == 0
     assert rec.t_star == ()
-    assert rec.good
 
 
 def test_min_fragment_self_when_nothing_better():
     hstar = toy_hstar()
     # A* = member 2 = {3,4,5}, W0 = {3}: only member 2 fits inside A* u W0
-    rec = classify_fragments(hstar, (3,), omega=3).records[2]
+    rec = classify_fragments(hstar, (3,)).records[2]
     assert rec.source_index == 2
     assert rec.ell == 2
     assert rec.t_star == (4, 5)
@@ -154,7 +205,7 @@ def test_min_fragment_tie_goes_to_smallest_index():
     hstar = toy_hstar()
     # A* = member 1, W0 = {0,3}: members 0 and 1 both fit inside {0,1,2,3}
     # with leftover {1,2}; the scan keeps the first
-    rec = classify_fragments(hstar, (0, 3), omega=3).records[1]
+    rec = classify_fragments(hstar, (0, 3)).records[1]
     assert rec.ell == 2
     assert rec.source_index == 0
     assert rec.t_star == (1, 2)
@@ -162,18 +213,18 @@ def test_min_fragment_tie_goes_to_smallest_index():
 
 def test_min_fragment_fragment_avoids_w0():
     hstar = toy_hstar()
-    for idx, rec in enumerate(classify_fragments(hstar, (0, 3), omega=3).records):
+    for idx, rec in enumerate(classify_fragments(hstar, (0, 3)).records):
         assert not set(rec.t_star) & {0, 3}
         assert rec.ell == len(rec.t_star)
         assert rec.ell <= len(set(hstar.edges[idx]) - {0, 3})
 
 
 def test_min_fragment_validates_inputs():
-    hstar = toy_hstar()
     with pytest.raises(InputError):
-        classify_fragments(hstar, (0,), omega=0)
+        classify_fragments(toy_hstar(), (17,))
+    # W0 is checked before the family is looked at
     with pytest.raises(InputError):
-        classify_fragments(hstar, (17,), omega=1)
+        classify_fragments(Hypergraph(GroundSet(6), (), r=3, semantics=DISTINCT_SETS), (17,))
 
 
 # ----------------------------------------------------------------------------
@@ -184,9 +235,9 @@ def test_classify_checks_w0_once_per_call(monkeypatch):
 
     hstar = toy_hstar()
     with pytest.raises(InputError):
-        classify_fragments(hstar, (0, 17), omega=1)
+        classify_fragments(hstar, (0, 17))
     with pytest.raises(InputError):
-        classify_fragments(hstar, (0, -1), omega=1)
+        classify_fragments(hstar, (0, -1))
     calls = []
     mask_of = fragments._mask_of
 
@@ -195,55 +246,49 @@ def test_classify_checks_w0_once_per_call(monkeypatch):
         return mask_of(*args)
 
     monkeypatch.setattr(fragments, "_mask_of", counting)
-    out = classify_fragments(hstar, (2, 3), omega=2)
+    out = classify_fragments(hstar, (2, 3))
     assert len(out.records) == 4
     assert [tuple(w0) for w0, _ in calls] == [(2, 3)]
 
 
 def test_classify_counts_and_histogram():
     hstar = toy_hstar()
-    out = classify_fragments(hstar, (2, 3), omega=2)
+    out = classify_fragments(hstar, (2, 3))
     # best leftovers per A*: member 0 via member 1 ({1}), member 1 via itself
     # ({1}), members 2 and 3 via themselves ({4,5} and {0,4})
     assert out.histogram == {1: 2, 2: 2}
-    assert out.bad_count == 2
-    assert out.success  # 2 * 2 <= 4
-    assert not out.degenerate
-    assert out.bad_fraction == pytest.approx(0.5)
+    assert out.bad_count(2) == 2
+    assert out.success(2)  # 2 * 2 <= 4
+    assert out.bad_count(1) == 4 and not out.success(1)
+    assert out.bad_count(3) == 0 and out.success(3)
 
 
 def test_classify_w0_covering_a_member_resolves_everything():
     hstar = toy_hstar()
     # W0 = {1,2,3} contains member 1 entirely, and member 1 sits inside every
     # A* u W0, so every minimum fragment is empty
-    out = classify_fragments(hstar, (1, 2, 3), omega=1)
+    out = classify_fragments(hstar, (1, 2, 3))
     assert out.histogram == {0: 4}
-    assert out.bad_count == 0
+    assert out.bad_count(1) == 0
 
 
 def test_classify_failure_when_bad_majority():
     hstar = toy_hstar()
-    out = classify_fragments(hstar, (), omega=1)
+    out = classify_fragments(hstar, ())
     # nothing exposed: every member leaves all 3 elements
-    assert out.bad_count == 4
-    assert not out.success
+    assert out.bad_count(1) == 4
+    assert not out.success(1)
     assert out.histogram == {3: 4}
 
 
 def test_classify_empty_family_is_degenerate():
     g = GroundSet(6)
     empty = Hypergraph(g, (), r=3, semantics=DISTINCT_SETS)
-    out = classify_fragments(empty, (0, 1), omega=1)
-    assert out.degenerate
-    assert not out.success
-    assert out.bad_fraction is None
-    assert out.bad_count == 0 and out.histogram == {}
-
-
-def test_classify_checks_omega_before_the_empty_family():
-    empty = Hypergraph(GroundSet(6), (), r=3, semantics=DISTINCT_SETS)
-    with pytest.raises(InputError, match="omega must be >= 1, got 0"):
-        classify_fragments(empty, (0, 1), omega=0)
+    out = classify_fragments(empty, (0, 1))
+    assert out.records == () and out.histogram == {}
+    # no member, so nothing is bad, and still the round fails
+    assert out.bad_count(1) == 0
+    assert not out.success(1)
 
 
 @settings(max_examples=30, deadline=None)
@@ -254,7 +299,8 @@ def test_bad_counts_non_increasing_in_omega(seed):
         cfg.family(), random_coloring(cfg.n_elements, cfg.q, make_rng(seed, 1))
     )
     w0 = sample_w0(cfg.n_elements, cfg.m, make_rng(seed, 2))
-    bads = [classify_fragments(hstar, w0, omega).bad_count for omega in (1, 2, 3, 4)]
+    out = classify_fragments(hstar, w0)
+    bads = [out.bad_count(omega) for omega in (1, 2, 3, 4)]
     assert bads == sorted(bads, reverse=True)
 
 
@@ -287,31 +333,36 @@ def test_third_stage_monte_carlo_matches_expectation():
     coloring = random_coloring(cfg.n_elements, cfg.q, make_rng(cfg.seed, 1))
     hstar = rainbow_subfamily(cfg.family(), coloring)
     w0 = sample_w0(cfg.n_elements, cfg.m, make_rng(cfg.seed, 2))
-    out = classify_fragments(hstar, w0, cfg.omega_resolved)
-    assert not out.degenerate
+    out = classify_fragments(hstar, w0)
+    tallies = {ell: count for ell, count in out.histogram.items() if 1 <= ell < cfg.omega_resolved}
+    assert tallies, "pool must be nonempty for this seed"
 
     trials = 3000
     total = 0
-    tallies = None
     for i in range(trials):
         stage = run_third_stage(cfg, out.records, w0, coloring, make_rng(cfg.seed, 3, i), hstar=hstar)
         total += stage.nu_r
-        tallies = stage.tallies
-    assert tallies, "pool must be nonempty for this seed"
     want = expected_nu_r(tallies, cfg.q, cfg.r, cfg.p1, cfg.epsilon1, cfg.omega_resolved)
     mean = total / trials
     se = math.sqrt(max(want, 1e-9) / trials)  # Poisson-scale dispersion guard
     assert abs(mean - want) <= 4 * max(se, 1e-4)
 
 
-def test_third_stage_w1_disjoint_from_w0():
+def test_third_stage_accepts_only_fragments_below_omega():
+    # the pool is the fragments with 1 <= ell < omega: empty at omega 1, and
+    # at omega 3 it leaves out this seed's fragments of 3 or more elements
     cfg = staged_config(seed=11)
     coloring = random_coloring(cfg.n_elements, cfg.q, make_rng(cfg.seed, 1))
     hstar = rainbow_subfamily(cfg.family(), coloring)
     w0 = sample_w0(cfg.n_elements, cfg.m, make_rng(cfg.seed, 2))
-    out = classify_fragments(hstar, w0, cfg.omega_resolved)
-    stage = run_third_stage(cfg, out.records, w0, coloring, make_rng(cfg.seed, 3), hstar=hstar)
-    assert all(1 <= ell <= cfg.omega_resolved - 0 for ell in stage.tallies)
+    out = classify_fragments(hstar, w0)
+    assert any(ell >= 3 for ell in out.histogram)
+    pool = sum(count for ell, count in out.histogram.items() if 1 <= ell < 3)
+    for omega in (1, 3):
+        cfg = staged_config(seed=11, omega=omega)
+        for i in range(200):
+            stage = run_third_stage(cfg, out.records, w0, coloring, make_rng(cfg.seed, 3, i), hstar=hstar)
+            assert stage.nu_r <= (pool if omega == 3 else 0)
 
 
 # ----------------------------------------------------------------------------

@@ -227,7 +227,6 @@ def test_private_name_scan_sees_a_dead_definition():
 EXPORT_EXCEPTIONS = {
     "expected_nu_r": "direction 5's chain report",
     "fsum_ratio_bound": "direction 5's chain report",
-    "ThirdStageOutcome.tallies": "direction 5's chain report",
 }
 
 
