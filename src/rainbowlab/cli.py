@@ -50,14 +50,23 @@ _ints = _list_of(int, "integers")
 _floats = _list_of(float, "numbers")
 
 
+def _out_dir(path: str) -> Path:
+    """The output directory, made before any output or work, so that one
+    that cannot be made is refused with nothing printed."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot write {out}: {exc}")
+    return out
+
+
 def _emit(payload: dict, args, filename: str) -> None:
     """Primary JSON to stdout; a copy under --out-dir when one is given."""
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    out = _out_dir(args.out_dir) if getattr(args, "out_dir", None) else None
     sys.stdout.write(text)
-    out_dir = getattr(args, "out_dir", None)
-    if out_dir:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    if out:
         (out / filename).write_text(text)
         print(f"wrote {out / filename}", file=sys.stderr)
 
@@ -96,10 +105,7 @@ def cmd_family(args) -> int:
     }
     if args.write_text:
         hg = fam.hypergraph(args.semantics)
-        out_dir = args.out_dir or "."
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        target = out / f"family_n{args.n}_k{args.k}.txt"
+        target = _out_dir(args.out_dir or ".") / f"family_n{args.n}_k{args.k}.txt"
         from .hypergraph import format_hypergraph_text
 
         target.write_text(format_hypergraph_text(hg))
@@ -248,6 +254,7 @@ def cmd_threshold(args) -> int:
         workers=args.workers,
         require_rainbow=not args.no_rainbow,
     )
+    _out_dir(args.out_dir)
     results = threshold.run_grid(config)
     paths = threshold.emit_report(
         results, args.out_dir, svg=not args.no_svg, timing=args.timing
@@ -292,6 +299,7 @@ def cmd_report(args) -> int:
     except TypeError as exc:
         raise InputError(f"{path} does not look like a grid summary: {exc}")
     timing = args.timing or bool(data.get("timing"))
+    _out_dir(args.out_dir)
     paths = threshold.emit_report(results, args.out_dir, svg=not args.no_svg, timing=timing)
     for p in paths:
         print(f"wrote {p}", file=sys.stderr)

@@ -21,7 +21,9 @@ arrival, which is what the accepted-fragment expectation
     E(nu_R) = sum_ell |R_ell| p1^ell ((q-r+ell)_ell / q^ell) (eps1*p1)^(omega-ell)
 
 accounts for with its color factor; in upfront mode the color factor is
-dropped.  Both modes are first-class and every record names its mode.
+dropped.  No report reads that formula, so it lives in the tests, as the
+oracle against which criterion 7(b) checks the third stage.  Both modes are
+first-class and every record names its mode.
 
 The omega sweep classifies each trial once and applies the same rule at
 every omega.  Trial i draws its coloring and W0 from mix(seed, 0x7377_6565,
@@ -35,12 +37,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InputError
 from .hypergraph import DISTINCT_SETS, Hypergraph, _mask, _mask_of
 from .hampow import PowerParams, enumerate_family, DEFAULT_ORDER_BUDGET
-from .rainbow import Coloring, falling, expected_rainbow_count, random_coloring, rainbow_subfamily
+from .rainbow import Coloring, expected_rainbow_count, random_coloring, rainbow_subfamily
 from .seeding import make_rng, mix
 
 UPFRONT = "upfront"
@@ -63,7 +65,6 @@ __all__ = [
     "sample_w0",
     "classify_fragments",
     "run_third_stage",
-    "expected_nu_r",
     "run_two_round",
     "fit_failure_constant",
     "omega_sweep",
@@ -265,38 +266,6 @@ def run_third_stage(
     exposed = w0_mask | w1_mask
     found = any(b & ~exposed == 0 for b in hstar.masks)
     return ThirdStageOutcome(nu_r=accepted, found_rainbow=found)
-
-
-def expected_nu_r(
-    tallies: Mapping[int, int],
-    q: int,
-    r: int,
-    p1: float,
-    epsilon1: float,
-    omega: int,
-    mode: str = STAGED,
-) -> float:
-    """Exact expectation of the accepted-fragment count for given tallies,
-    the fragment counts by ell over the pool 1 <= ell < omega.
-
-    Staged mode carries the fresh-color factor (q-r+ell)_ell / q^ell; upfront
-    mode drops it.  Tally keys must lie in 1..omega.
-    """
-    if mode not in (UPFRONT, STAGED):
-        raise InputError(f"unknown coloring mode {mode!r}")
-    if omega < 1:
-        raise InputError(f"omega must be >= 1, got {omega}")
-    total = 0.0
-    for ell, count in tallies.items():
-        if not 1 <= ell <= omega:
-            raise InputError(f"tally index ell={ell} out of range 1..{omega}")
-        if count < 0:
-            raise InputError(f"negative tally at ell={ell}")
-        term = count * p1**ell * (epsilon1 * p1) ** (omega - ell)
-        if mode == STAGED:
-            term *= falling(q - r + ell, ell) / q**ell if q - r + ell >= 0 else 0.0
-        total += term
-    return total
 
 
 @dataclass(frozen=True)

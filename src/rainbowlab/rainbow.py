@@ -26,7 +26,7 @@ from itertools import compress, islice, repeat
 from typing import Iterable
 
 from .errors import BudgetError, InputError
-from .hypergraph import DEFAULT_PAIR_BUDGET, Hypergraph, _profile_rows, _view, alpha_cut
+from .hypergraph import DEFAULT_PAIR_BUDGET, Hypergraph, _profile_rows, _view
 from .seeding import _fan_out, trial_rngs
 
 __all__ = [
@@ -200,46 +200,6 @@ def exact_second_moment(hg: Hypergraph, q: int, pair_budget: int = DEFAULT_PAIR_
     return RainbowStats(
         q=q, r=r, family_size=len(hg.edges), e_z=e_z, e_z2=e_z2, ratio=ratio, exact=exact
     )
-
-
-def fsum_ratio_bound(
-    family_size: int,
-    q: int,
-    r: int,
-    kappa: float,
-    k0: float,
-    alpha: float,
-) -> float:
-    """Closed-form upper bound on E(Z^2)/E(Z)^2 for a kappa-spread family
-    whose intersection profile satisfies the K0 condition up to alpha*r:
-
-        1/E(Z) + 1 + sum_{t=1}^{floor(alpha r)} (K0/kappa)^t q^t/(q)_t
-                   + sum_{t=floor(alpha r)+1}^{r-1} (2^r/kappa^t) q^t/(q)_t
-
-    Requires q >= r (below that E(Z) = 0 and the ratio is undefined).
-    """
-    if family_size < 1:
-        raise InputError(f"family size must be >= 1, got {family_size}")
-    if q < r:
-        raise InputError(f"ratio bound undefined for q < r (q={q}, r={r})")
-    if kappa <= 0 or k0 <= 0:
-        raise InputError(f"kappa and K0 must be positive, got {kappa}, {k0}")
-    if not 0 < alpha < 1:
-        raise InputError(f"alpha must be in (0, 1), got {alpha}")
-
-    log_fall = [0.0] * (r + 1)  # log (q)_t
-    for t in range(1, r + 1):
-        log_fall[t] = log_fall[t - 1] + math.log(q - t + 1)
-    lq = math.log(q)
-
-    log_ez = math.log(family_size) + log_fall[r] - r * lq
-    total = math.exp(-log_ez) + 1.0
-    t_cut = alpha_cut(alpha, r)
-    for t in range(1, min(t_cut, r - 1) + 1):
-        total += math.exp(t * (math.log(k0) - math.log(kappa)) + t * lq - log_fall[t])
-    for t in range(t_cut + 1, r):
-        total += math.exp(r * math.log(2.0) - t * math.log(kappa) + t * lq - log_fall[t])
-    return total
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from itertools import permutations
 
 import rainbowlab as rl
 from rainbowlab.seeding import make_rng
-from tests.test_fragments import min_fragment_oracle
+from tests.test_fragments import expected_nu_r_oracle, min_fragment_oracle
 
 
 def report(number: int, ok: bool, detail: str, t0: float) -> None:
@@ -151,7 +151,7 @@ def test_criterion_07_fragment_process():
     mean = total / trials
     var = max(total_sq / trials - mean * mean, 0.0) * trials / (trials - 1)
     se = math.sqrt(var / trials)
-    want = rl.expected_nu_r(tallies, cfg.q, cfg.r, cfg.p1, cfg.epsilon1, 3)
+    want = expected_nu_r_oracle(tallies, cfg.q, cfg.r, cfg.p1, cfg.epsilon1, 3)
     mc_ok = abs(mean - want) <= 3 * max(se, 1e-12)
     ok = violations == 0 and mc_ok and time.perf_counter() - t0 < 300
     report(7, ok, f"bad-count monotonicity violations {violations}/100; "

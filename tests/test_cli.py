@@ -179,6 +179,30 @@ def test_threshold_names_the_flag_below_one(capsys, tmp_path, flag):
     assert not (tmp_path / "D").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["family", "--n", "5"],
+        ["family", "--n", "5", "--write-text"],
+        ["threshold", "--n", "6", "--m-grid", "8", "--trials", "2", "--seed", "1"],
+    ],
+)
+def test_an_out_dir_that_cannot_be_made_is_refused_first(capsys, tmp_path, monkeypatch, argv):
+    # a regular file stands where the directory should be
+    (tmp_path / "file").write_text("")
+    out_dir = tmp_path / "file" / "D"
+    import rainbowlab.threshold as threshold
+
+    def no_grid(config):
+        raise AssertionError("the grid ran before the output directory was made")
+
+    monkeypatch.setattr(threshold, "run_grid", no_grid)
+    code, out, err = run_cli(capsys, *argv, "--out-dir", str(out_dir))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot write {out_dir}: ")
+    assert len(err.splitlines()) == 1
+
+
 def assert_one_error_line(code, out, err):
     assert code == 1
     assert out == ""

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,6 @@ from rainbowlab.fragments import (
     TwoRoundConfig,
     classify_fragments,
     default_omega,
-    expected_nu_r,
     fit_failure_constant,
     omega_sweep,
     run_third_stage,
@@ -26,7 +26,7 @@ from rainbowlab.fragments import (
 )
 from rainbowlab.hampow import PowerParams
 from rainbowlab.hypergraph import DISTINCT_SETS, GroundSet, Hypergraph
-from rainbowlab.rainbow import Coloring, random_coloring, rainbow_subfamily
+from rainbowlab.rainbow import Coloring, falling, random_coloring, rainbow_subfamily
 from rainbowlab.seeding import make_rng, mix
 
 
@@ -153,6 +153,32 @@ def min_fragment_oracle(hstar, w0):
                 best = (idx, left, len(left))
         out.append(best)
     return out
+
+
+def expected_nu_r_oracle(tallies, q, r, p1, epsilon1, omega, mode=STAGED):
+    """Exact expectation of the accepted-fragment count for given tallies,
+    the fragment counts by ell over the pool 1 <= ell < omega:
+
+        E(nu_R) = sum_ell |R_ell| p1^ell ((q-r+ell)_ell / q^ell) (eps1*p1)^(omega-ell)
+
+    Staged mode carries the fresh-color factor (q-r+ell)_ell / q^ell; upfront
+    mode drops it.  Tally keys must lie in 1..omega-1.
+    """
+    if mode not in (UPFRONT, STAGED):
+        raise InputError(f"unknown coloring mode {mode!r}")
+    if omega < 1:
+        raise InputError(f"omega must be >= 1, got {omega}")
+    total = 0.0
+    for ell, count in tallies.items():
+        if not 1 <= ell < omega:
+            raise InputError(f"tally index ell={ell} out of range 1..{omega - 1}")
+        if count < 0:
+            raise InputError(f"negative tally at ell={ell}")
+        term = count * p1**ell * (epsilon1 * p1) ** (omega - ell)
+        if mode == STAGED:
+            term *= falling(q - r + ell, ell) / q**ell if q - r + ell >= 0 else 0.0
+        total += term
+    return total
 
 
 @st.composite
@@ -309,23 +335,29 @@ def test_bad_counts_non_increasing_in_omega(seed):
 
 def test_expected_nu_r_hand_value():
     # single tally at ell=1, omega=2: p1 * (q-r+1)/q * (eps1 p1)
-    got = expected_nu_r({1: 2}, q=10, r=7, p1=0.5, epsilon1=0.4, omega=2)
+    got = expected_nu_r_oracle({1: 2}, q=10, r=7, p1=0.5, epsilon1=0.4, omega=2)
     want = 2 * 0.5 * (10 - 7 + 1) / 10 * (0.4 * 0.5)
     assert got == pytest.approx(want)
 
 
 def test_expected_nu_r_upfront_drops_color_factor():
-    got = expected_nu_r({2: 3}, q=10, r=7, p1=0.5, epsilon1=0.4, omega=2, mode=UPFRONT)
-    assert got == pytest.approx(3 * 0.5**2)
+    # tally 3 at ell=2, omega=3: 3 p1^2 (eps1 p1); staged mode adds (5)_2 / 10^2
+    got = expected_nu_r_oracle({2: 3}, q=10, r=7, p1=0.5, epsilon1=0.4, omega=3, mode=UPFRONT)
+    assert got == pytest.approx(3 * 0.5**2 * (0.4 * 0.5))
+    staged = expected_nu_r_oracle({2: 3}, q=10, r=7, p1=0.5, epsilon1=0.4, omega=3)
+    assert staged == pytest.approx(got * 5 * 4 / 10**2)
 
 
 def test_expected_nu_r_validates_tally_range():
     with pytest.raises(InputError):
-        expected_nu_r({0: 1}, q=10, r=7, p1=0.5, epsilon1=0.4, omega=2)
+        expected_nu_r_oracle({0: 1}, q=10, r=7, p1=0.5, epsilon1=0.4, omega=2)
     with pytest.raises(InputError):
-        expected_nu_r({3: 1}, q=10, r=7, p1=0.5, epsilon1=0.4, omega=2)
+        expected_nu_r_oracle({3: 1}, q=10, r=7, p1=0.5, epsilon1=0.4, omega=2)
+    # the third-stage pool is 1 <= ell < omega, so a tally at ell = omega is refused
+    with pytest.raises(InputError, match=r"ell=2 out of range 1\.\.1"):
+        expected_nu_r_oracle({2: 1}, q=10, r=7, p1=0.5, epsilon1=0.4, omega=2)
     with pytest.raises(InputError):
-        expected_nu_r({1: 1}, q=10, r=7, p1=0.5, epsilon1=0.4, omega=2, mode="other")
+        expected_nu_r_oracle({1: 1}, q=10, r=7, p1=0.5, epsilon1=0.4, omega=2, mode="other")
 
 
 def test_third_stage_monte_carlo_matches_expectation():
@@ -342,7 +374,7 @@ def test_third_stage_monte_carlo_matches_expectation():
     for i in range(trials):
         stage = run_third_stage(cfg, out.records, w0, coloring, make_rng(cfg.seed, 3, i), hstar=hstar)
         total += stage.nu_r
-    want = expected_nu_r(tallies, cfg.q, cfg.r, cfg.p1, cfg.epsilon1, cfg.omega_resolved)
+    want = expected_nu_r_oracle(tallies, cfg.q, cfg.r, cfg.p1, cfg.epsilon1, cfg.omega_resolved)
     mean = total / trials
     se = math.sqrt(max(want, 1e-9) / trials)  # Poisson-scale dispersion guard
     assert abs(mean - want) <= 4 * max(se, 1e-4)
@@ -532,3 +564,40 @@ def test_sweep_refuses_empty_or_bad_omegas_and_trials():
     for omegas, trials in (([], 5), ([0, 1], 5), ([1, 2], 0)):
         with pytest.raises(InputError):
             omega_sweep(staged_config(), omegas, trials)
+
+
+def test_sweep_failures_match_the_exact_average_over_w0():
+    """Given trial i's coloring, its first round fails at omega with
+    probability p_i(omega), the share of all m-subsets W0 that fail.  The
+    sweep's failure count over the live trials then has mean sum p_i and
+    variance sum p_i (1 - p_i), so its z-score is about standard normal when
+    sample_w0, classification and the rule are right.  (6, 1), q = 7, C = 4:
+    m = 10 of N = 15, 3,003 exposures per coloring; 19 of the 30 trials are
+    live.  The size catches a W0 that is always the m lowest elements, not a
+    W0 that never holds element 0."""
+    cfg = TwoRoundConfig(q=7, C=4.0, epsilon1=0.1, seed=3, params=PowerParams(6, 1))
+    omegas, trials = (1, 2, 3), 30
+    hg = cfg.family()
+    exposures = list(combinations(range(cfg.n_elements), cfg.m))
+    assert len(exposures) == 3003
+    probs = {omega: [] for omega in omegas}
+    for i in range(trials):
+        rng = make_rng(mix(cfg.seed, 0x7377_6565, i), 1)
+        hstar = rainbow_subfamily(hg, random_coloring(cfg.n_elements, cfg.q, rng))
+        if not hstar.edges:
+            continue
+        fails = dict.fromkeys(omegas, 0)
+        for w0 in exposures:
+            ells = [ell for _, _, ell in min_fragment_oracle(hstar, w0)]
+            for omega in omegas:
+                fails[omega] += 2 * sum(1 for ell in ells if ell >= omega) > len(ells)
+        for omega in omegas:
+            probs[omega].append(fails[omega] / len(exposures))
+    rows = omega_sweep(cfg, omegas, trials)["rows"]
+    assert len(probs[1]) == 19 and {row["degenerate"] for row in rows} == {11}
+    for row in rows:
+        p = probs[row["omega"]]
+        var = sum(x * (1 - x) for x in p)
+        assert var > 0
+        z = (row["failures"] - sum(p)) / math.sqrt(var)
+        assert abs(z) <= 4, (row["omega"], z)

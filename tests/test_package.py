@@ -222,14 +222,6 @@ def test_private_name_scan_sees_a_dead_definition():
     ]
 
 
-# public functions and class members that no package or benchmark code
-# reads yet, with the report (a ROADMAP direction) that is to read each
-EXPORT_EXCEPTIONS = {
-    "expected_nu_r": "direction 5's chain report",
-    "fsum_ratio_bound": "direction 5's chain report",
-}
-
-
 def _unread_exports(sources: dict[str, str], readers: dict[str, str]) -> list[str]:
     """Public top-level functions and classes, listed in __all__ or not, that
     neither the package (outside their def and __all__ entry) nor the readers
@@ -255,9 +247,7 @@ def _package_and_bench() -> tuple[dict[str, str], dict[str, str]]:
 
 
 def test_every_exported_function_feeds_the_package_or_the_benchmark():
-    unread = _unread_exports(*_package_and_bench())
-    top_level = sorted(name for name in EXPORT_EXCEPTIONS if "." not in name)
-    assert [line.rsplit(" ", 1)[1] for line in unread] == top_level, unread
+    assert _unread_exports(*_package_and_bench()) == []
 
 
 def test_export_scan_sees_an_unread_export():
@@ -329,9 +319,7 @@ def _unread_members(sources: dict[str, str], readers: dict[str, str]) -> list[st
 
 
 def test_every_public_member_feeds_the_package_or_the_benchmark():
-    unread = _unread_members(*_package_and_bench())
-    members = sorted(name for name in EXPORT_EXCEPTIONS if "." in name)
-    assert [line.rsplit(" ", 1)[1] for line in unread] == members, unread
+    assert _unread_members(*_package_and_bench()) == []
 
 
 def test_member_scan_sees_an_unread_field_property_and_method():

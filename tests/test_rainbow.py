@@ -34,7 +34,6 @@ from rainbowlab.rainbow import (
     exact_second_moment,
     expected_rainbow_count,
     falling,
-    fsum_ratio_bound,
     rainbow_subfamily,
     random_coloring,
 )
@@ -204,36 +203,6 @@ def test_float_path_writes_no_exact_second_moment(monkeypatch):
     assert approx["exact"] is False
     assert approx["E_Z2_exact"] is None
     assert approx["E_Z_exact"] == exact["E_Z_exact"]  # E(Z) stays exact
-
-
-# ----------------------------------------------------------------------------
-# closed-form ratio bound and conditional profile
-
-def test_fsum_ratio_bound_dominates_exact_ratio():
-    hg = cycle_family(5)
-    stats = exact_second_moment(hg, 6)
-    # kappa = kappa_s = 2; the t <= alpha*r profile condition is vacuous
-    # (f_1 = 0), so any positive K0 is admissible
-    bound = fsum_ratio_bound(12, 6, 5, kappa=2.0, k0=2.0, alpha=1 / 3)
-    assert bound >= stats.ratio
-
-
-def test_fsum_ratio_bound_requires_q_at_least_r():
-    with pytest.raises(InputError):
-        fsum_ratio_bound(12, 4, 5, kappa=2.0, k0=2.0, alpha=1 / 3)
-
-
-def test_fsum_ratio_bound_recomputed_directly():
-    import math
-
-    m, q, r, kappa, k0, alpha = 12, 8, 5, 2.0, 1.5, 1 / 3
-    ez = m * ff(q, r) / q**r
-    want = 1 / ez + 1
-    for t in range(1, 2):  # floor(alpha r) = 1
-        want += (k0 / kappa) ** t * q**t / ff(q, t)
-    for t in range(2, r):
-        want += 2**r / kappa**t * q**t / ff(q, t)
-    assert fsum_ratio_bound(m, q, r, kappa, k0, alpha) == pytest.approx(want)
 
 
 # ----------------------------------------------------------------------------
