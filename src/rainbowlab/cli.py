@@ -22,11 +22,13 @@ from .hypergraph import (
     DEFAULT_PAIR_BUDGET,
     DISTINCT_SETS,
     LABELED_ORDERS,
+    format_hypergraph_text,
     intersection_profile,
     read_hypergraph_text,
     required_k0,
     spread_up_to,
 )
+from .seeding import make_rng
 
 DEFAULT_SEED = 1729
 
@@ -50,25 +52,20 @@ _ints = _list_of(int, "integers")
 _floats = _list_of(float, "numbers")
 
 
-def _out_dir(path: str) -> Path:
-    """The output directory, made before any output or work, so that one
-    that cannot be made is refused with nothing printed."""
-    out = Path(path)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise InputError(f"cannot write {out}: {exc}")
-    return out
+def _wrote(paths: list[Path]) -> list[Path]:
+    """Say on stderr which files a command wrote."""
+    for path in paths:
+        print(f"wrote {path}", file=sys.stderr)
+    return paths
 
 
 def _emit(payload: dict, args, filename: str) -> None:
-    """Primary JSON to stdout; a copy under --out-dir when one is given."""
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    out = _out_dir(args.out_dir) if getattr(args, "out_dir", None) else None
+    """Primary JSON to stdout, after its copy under --out-dir when one is
+    given, so that a refused copy prints nothing."""
+    text = threshold._json_text(payload)
+    if args.out_dir is not None:
+        _wrote(threshold._write_files(args.out_dir, {filename: text}))
     sys.stdout.write(text)
-    if out:
-        (out / filename).write_text(text)
-        print(f"wrote {out / filename}", file=sys.stderr)
 
 
 def _family(args) -> hampow.PowerFamily:
@@ -81,6 +78,14 @@ def _read_text(path: Path) -> str:
         return path.read_text()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
+
+
+def _read_json(path: Path, what: str = ""):
+    """The parsed JSON file at path; a refusal names it as what + path."""
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{what}{path} is not valid JSON: {exc}")
 
 
 def _load_hypergraph(args):
@@ -104,12 +109,8 @@ def cmd_family(args) -> int:
         "r": fam.params.r,
     }
     if args.write_text:
-        hg = fam.hypergraph(args.semantics)
-        target = _out_dir(args.out_dir or ".") / f"family_n{args.n}_k{args.k}.txt"
-        from .hypergraph import format_hypergraph_text
-
-        target.write_text(format_hypergraph_text(hg))
-        print(f"wrote {target}", file=sys.stderr)
+        files = {f"family_n{args.n}_k{args.k}.txt": format_hypergraph_text(fam.hypergraph(args.semantics))}
+        [target] = _wrote(threshold._write_files(args.out_dir or ".", files))
         payload["file"] = str(target)
     _emit(payload, args, f"family_n{args.n}_k{args.k}.json")
     return 0
@@ -191,8 +192,7 @@ def cmd_audit_chain(args) -> int:
 def cmd_moments(args) -> int:
     if args.trials < 0:
         raise InputError("--trials must be >= 0 (0 runs the exact moments only)")
-    fam = _family(args)
-    hg = fam.hypergraph(args.semantics)
+    hg = _load_hypergraph(args)
     q = args.q if args.q is not None else rainbow.default_color_count(hg.r, args.epsilon1)
     if args.trials > 0:
         report = rainbow.empirical_moments(
@@ -254,13 +254,9 @@ def cmd_threshold(args) -> int:
         workers=args.workers,
         require_rainbow=not args.no_rainbow,
     )
-    _out_dir(args.out_dir)
+    threshold._write_files(args.out_dir, {})  # the directory, before the grid runs
     results = threshold.run_grid(config)
-    paths = threshold.emit_report(
-        results, args.out_dir, svg=not args.no_svg, timing=args.timing
-    )
-    for p in paths:
-        print(f"wrote {p}", file=sys.stderr)
+    _wrote(threshold.emit_report(results, args.out_dir, svg=not args.no_svg, timing=args.timing))
     return 0
 
 
@@ -269,8 +265,6 @@ def cmd_search(args) -> int:
         inst = threshold.read_instance_text(_read_text(Path(args.input)))
     else:
         q = args.q if args.q is not None else rainbow.default_color_count(args.k * args.n, 0.1)
-        from .seeding import make_rng
-
         inst = threshold.sample_instance(args.n, args.k, q, args.m, make_rng(args.seed, 0x696E_7374))
     res = threshold.rainbow_power_search(
         inst, require_rainbow=not args.no_rainbow, budget=args.budget
@@ -288,10 +282,7 @@ def cmd_search(args) -> int:
 
 def cmd_report(args) -> int:
     path = Path(args.input)
-    try:
-        data = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}")
+    data = _read_json(path)
     try:
         results = threshold.GridResults.from_json(data)
     except KeyError as exc:
@@ -299,10 +290,7 @@ def cmd_report(args) -> int:
     except TypeError as exc:
         raise InputError(f"{path} does not look like a grid summary: {exc}")
     timing = args.timing or bool(data.get("timing"))
-    _out_dir(args.out_dir)
-    paths = threshold.emit_report(results, args.out_dir, svg=not args.no_svg, timing=timing)
-    for p in paths:
-        print(f"wrote {p}", file=sys.stderr)
+    _wrote(threshold.emit_report(results, args.out_dir, svg=not args.no_svg, timing=timing))
     return 0
 
 
@@ -584,10 +572,7 @@ def _apply_config(path_text: str, subparser: argparse.ArgumentParser) -> set[str
     its flag is; null keeps the default.  Returns the flags the config moves
     off their defaults, which the mode check treats as given."""
     path = Path(path_text)
-    try:
-        data = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"config {path} is not valid JSON: {exc}")
+    data = _read_json(path, "config ")
     if not isinstance(data, dict):
         raise InputError(f"config {path} must hold a JSON object of flag values")
     actions = {a.dest: a for a in subparser._actions if a.dest not in ("help", "config")}
@@ -619,6 +604,8 @@ def main(argv=None) -> int:
             except SystemExit as exc:
                 return int(exc.code or 0)
         on = _check_modes(args, given)
+        if args.out_dir == "":
+            raise InputError("--out-dir must name a directory")
         # a run that reads the seed but was given none takes the default, and
         # says so once it has given its output: a refused run prints one line
         seeded = getattr(args, "seed", 0) is None and not any("--seed" in mode.unread for mode in on)

@@ -24,9 +24,11 @@ outputs unless explicitly requested.
 from __future__ import annotations
 
 import functools
+import json
 import math
 import time
 from dataclasses import dataclass, fields
+from pathlib import Path
 from typing import Sequence
 
 from .errors import InputError
@@ -527,27 +529,35 @@ def format_svg(results: GridResults) -> str:
     return "\n".join(parts) + "\n"
 
 
+def _json_text(payload) -> str:
+    """The one encoding of every JSON report the package writes or prints."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _write_files(out_dir, texts: dict[str, str]) -> list[Path]:
+    """Make out_dir and write each named text into it, in order: the one
+    place the package writes a file.  An OSError becomes an InputError
+    naming the path that failed; the files written before it stay."""
+    out = path = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in texts.items():
+            path = out / name
+            path.write_text(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}")
+    return [out / name for name in texts]
+
+
 def emit_report(results: GridResults, out_dir, svg: bool = True, timing: bool = False) -> list:
     """Write results.csv, summary.json, and optionally curves.svg under out_dir."""
-    import json
-    from pathlib import Path
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = []
-    csv_path = out / "results.csv"
-    csv_path.write_text(format_csv(results, timing=timing))
-    paths.append(csv_path)
-    json_path = out / "summary.json"
-    json_path.write_text(
-        json.dumps(results.to_json(timing=timing), indent=2, sort_keys=True) + "\n"
-    )
-    paths.append(json_path)
+    texts = {
+        "results.csv": format_csv(results, timing=timing),
+        "summary.json": _json_text(results.to_json(timing=timing)),
+    }
     if svg:
-        svg_path = out / "curves.svg"
-        svg_path.write_text(format_svg(results))
-        paths.append(svg_path)
-    return paths
+        texts["curves.svg"] = format_svg(results)
+    return _write_files(out_dir, texts)
 
 
 # ----------------------------------------------------------------------------

@@ -203,6 +203,60 @@ def test_an_out_dir_that_cannot_be_made_is_refused_first(capsys, tmp_path, monke
     assert len(err.splitlines()) == 1
 
 
+# every command that takes --out-dir, at a small size, with the file that a
+# directory blocks: each report file goes through the one writer
+GRID = ["--n", "6", "--m-grid", "8", "--trials", "2", "--seed", "1", "--no-svg"]
+BLOCKED_WRITES = [
+    (["family", "--n", "5"], "family_n5_k1.json"),
+    (["family", "--n", "5", "--write-text"], "family_n5_k1.txt"),
+    (["profile", "--n", "5"], "profile.json"),
+    (["audit-prop1", "--n", "6"], "audit_prop1_n6_k1.json"),
+    (["audit-prop2", "--n", "6"], "audit_prop2_a_k1.json"),
+    (["audit-chain", "--n", "6"], "audit_chain_n6_k1.json"),
+    (["moments", "--n", "5", "--q", "6", "--trials", "0"], "moments_n5_k1_q6.json"),
+    (["fragment", "--n", "6", "--seed", "1"], "fragment_n6_k1.json"),
+    (["fragment", "--n", "6", "--seed", "1", "--sweep", "1,2", "--sweep-trials", "3"], "fragment_sweep_n6_k1.json"),
+    (["threshold", *GRID], "summary.json"),
+    (["report", "--no-svg"], "summary.json"),
+]
+
+
+@pytest.mark.parametrize("argv,name", BLOCKED_WRITES, ids=[f"{argv[0]}-{name}" for argv, name in BLOCKED_WRITES])
+def test_a_report_file_that_cannot_be_written_is_refused_in_one_line(capsys, tmp_path, argv, name):
+    if argv[0] == "report":
+        assert main(["threshold", *GRID, "--out-dir", str(tmp_path / "grid")]) == 0
+        capsys.readouterr()
+        argv = [*argv, "--input", str(tmp_path / "grid" / "summary.json")]
+    out_dir = tmp_path / "D"
+    (out_dir / name).mkdir(parents=True)
+    code, out, err = run_cli(capsys, *argv, "--out-dir", str(out_dir))
+    assert (code, out) == (1, "")
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: cannot write {out_dir / name}: ")
+    if argv[0] in ("threshold", "report"):
+        # the grid ran, and the file written before the refused one stays
+        assert (out_dir / "results.csv").read_text().startswith("n,k,q,m,C")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["family", "--n", "5"], ["family", "--n", "5", "--write-text"], ["threshold", *GRID]],
+    ids=["family", "family-write-text", "threshold"],
+)
+def test_an_empty_out_dir_is_refused_by_flag_and_by_config(capsys, tmp_path, monkeypatch, argv):
+    # "" would name the current directory: nothing may land there
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"out_dir": ""}))
+    for given in (["--out-dir", ""], ["--config", str(cfg)]):
+        code, out, err = run_cli(capsys, *argv, *given)
+        assert (code, out, err) == (1, "", "error: --out-dir must name a directory\n")
+        assert list(cwd.iterdir()) == []
+
+
 def assert_one_error_line(code, out, err):
     assert code == 1
     assert out == ""

@@ -410,3 +410,112 @@ def test_layer_scan_sees_an_import_from_the_same_or_a_later_layer():
         "right line 2: top",
         "top line 1: top",
     ]
+
+
+# the calls that make a directory or write a file, and the characters of an
+# open() mode that writes
+WRITE_CALLS = {"write_text", "write_bytes", "mkdir", "makedirs"}
+WRITE_MODES = set("wax+")
+
+
+def _opens_for_writing(call: ast.Call) -> bool:
+    """An open(...) or x.open(...) call given a constant write mode, by
+    position or by keyword."""
+    name = call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", None)
+    modes = [
+        m.value
+        for m in [*call.args, *(kw.value for kw in call.keywords if kw.arg == "mode")]
+        if isinstance(m, ast.Constant) and isinstance(m.value, str)
+    ]
+    return name == "open" and any(set(m) <= set("rwaxbt+") and WRITE_MODES & set(m) for m in modes)
+
+
+def _file_writes(source: str) -> list[str]:
+    """The calls that write a file or make a directory, each named with the
+    top-level function or class around it."""
+    found = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "attr", None)
+            if name in WRITE_CALLS or _opens_for_writing(node):
+                found.append(f"{owner} line {node.lineno}: {name or 'open'}")
+    return found
+
+
+def test_only_the_writer_writes_files():
+    # every report file goes through threshold._write_files, which refuses
+    # an unwritable path with one InputError
+    package = Path(rainbowlab.__file__).parent
+    found = {path.name: hits for path in sorted(package.glob("*.py")) if (hits := _file_writes(path.read_text()))}
+    assert set(found) == {"threshold.py"}
+    assert {hit.split(" line ")[0] for hit in found["threshold.py"]} == {"_write_files"}
+
+
+def test_write_scan_sees_each_spelling():
+    source = (
+        "import os\n"
+        "from pathlib import Path\n"
+        "def read(p):\n"
+        "    Path(p).read_text(); open(p); open(p, 'rb'); Path(p).open()\n"
+        "def dump(p, text):\n"
+        "    Path(p).write_text(text)\n"
+        "    with open(p, 'w') as fh, open(p, mode='ab') as gh:\n"
+        "        pass\n"
+        "class Store:\n"
+        "    def save(self, p):\n"
+        "        Path(p).parent.mkdir(); os.makedirs(p); Path(p).open('r+')\n"
+        "Path('x').write_bytes(b'')\n"
+    )
+    assert _file_writes(source) == [
+        "dump line 6: write_text",
+        "dump line 7: open",
+        "dump line 7: open",
+        "Store line 11: mkdir",
+        "Store line 11: makedirs",
+        "Store line 11: open",
+        "<module> line 12: write_bytes",
+    ]
+
+
+def _function_imports(source: str) -> list[str]:
+    """The imports inside a function body, at any depth, each named with the
+    outermost function around it."""
+    found = {}
+    for func in ast.walk(ast.parse(source)):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    names = ", ".join(alias.name for alias in node.names)
+                    found.setdefault(node, f"{func.name} line {node.lineno}: {names}")
+    return [found[node] for node in sorted(found, key=lambda node: node.lineno)]
+
+
+def test_no_module_imports_inside_a_function():
+    package = Path(rainbowlab.__file__).parent
+    found = {path.name: hits for path in sorted(package.glob("*.py")) if (hits := _function_imports(path.read_text()))}
+    assert found == {}
+
+
+def test_function_import_scan_sees_each_spelling():
+    source = (
+        "import json\n"
+        "from .seeding import make_rng\n"
+        "def f():\n"
+        "    from .hypergraph import format_hypergraph_text\n"
+        "    if True:\n"
+        "        import os, sys\n"
+        "    def inner():\n"
+        "        import math\n"
+        "class C:\n"
+        "    async def g(self):\n"
+        "        from pathlib import Path\n"
+    )
+    assert _function_imports(source) == [
+        "f line 4: format_hypergraph_text",
+        "f line 6: os, sys",
+        "f line 8: math",
+        "g line 11: Path",
+    ]

@@ -9,6 +9,7 @@ import dataclasses
 import hashlib
 import math
 import multiprocessing
+import re
 import threading
 import time
 from itertools import permutations
@@ -555,6 +556,16 @@ def test_emit_report_writes_files(tmp_path):
     assert (tmp_path / "results.csv").read_text().startswith("n,k,q,m,C")
     paths = emit_report(res, tmp_path / "nosvg", svg=False)
     assert sorted(p.name for p in paths) == ["results.csv", "summary.json"]
+
+
+def test_emit_report_names_the_file_it_cannot_write(tmp_path):
+    res = run_grid(ExperimentConfig(n=6, k=1, q=8, trials=3, seed=2, m_grid=(6,), budget=200))
+    (tmp_path / "summary.json").mkdir()
+    with pytest.raises(InputError, match=f"^cannot write {re.escape(str(tmp_path / 'summary.json'))}: "):
+        emit_report(res, tmp_path)
+    # the file before the refused one stays, and none after it is written
+    assert (tmp_path / "results.csv").read_text().startswith("n,k,q,m,C")
+    assert not (tmp_path / "curves.svg").exists()
 
 
 # ----------------------------------------------------------------------------
