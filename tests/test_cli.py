@@ -395,6 +395,39 @@ def test_profile_refuses_k_and_budget_beside_input(capsys, family_file, flag, va
     assert f"{flag} does not apply with --input" in err
 
 
+# the text route: a family written by `family --write-text` and read back by
+# --input answers byte for byte as the --n/--k route does.  A file is never
+# marked transitive, so each profile run also checks the one-row shortcut
+# against the full pair scan.  (6, 2) has repeated members, kept only under
+# labeled-orders.
+TEXT_ROUTE = [(n, k, s) for n, k in ((7, 1), (6, 2)) for s in ("distinct-sets", "labeled-orders")]
+
+
+@pytest.mark.parametrize("n,k,semantics", TEXT_ROUTE, ids=[f"n{n}-k{k}-{s}" for n, k, s in TEXT_ROUTE])
+def test_a_written_family_reads_back_through_input(capsys, tmp_path, n, k, semantics):
+    nk = ["--n", str(n), "--k", str(k)]
+    code, out, err = run_cli(
+        capsys, "family", *nk, "--write-text", "--semantics", semantics, "--out-dir", str(tmp_path)
+    )
+    assert code == 0, err
+    path = tmp_path / f"family_n{n}_k{k}.txt"
+    assert strict_json(out)["file"] == str(path) and path.is_file()
+    for tail in (["spread", "--smax", "2"], ["profile", "--kappa", "2"]):
+        command, *rest = tail
+        via_file = run_cli(capsys, command, "--input", str(path), "--semantics", semantics, *rest)
+        via_nk = run_cli(capsys, command, *nk, "--semantics", semantics, *rest)
+        assert via_file[0] == 0, via_file[2]
+        assert via_file[:2] == via_nk[:2]
+
+
+def test_input_with_a_repeated_member_is_refused_under_distinct_sets(capsys, tmp_path):
+    path = tmp_path / "twice.txt"
+    path.write_text("3 2 2\n0 1\n0 1\n")
+    code, out, err = run_cli(capsys, "profile", "--input", str(path), "--kappa", "2")
+    assert code == 1 and out == ""
+    assert err == "error: invalid family: duplicate edges are not allowed under distinct-sets semantics\n"
+
+
 @pytest.mark.parametrize(
     "flag,value", [("--n", "8"), ("--m", "20"), ("--q", "9"), ("--seed", "4"), ("--k", "3")]
 )
