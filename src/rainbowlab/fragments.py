@@ -197,7 +197,7 @@ def classify_fragments(hstar: Hypergraph, w0: Sequence[int]) -> ClassificationOu
     R_B is inside R_A.  So A's minimum fragment is the first residue inside
     R_A in the order (|R_B|, index), and A itself ends that scan at the latest.
     """
-    w0_mask = _mask_of(w0, hstar.ground)
+    w0_mask = _mask_of(w0, hstar.n_elements)
     residues = [b & ~w0_mask for b in hstar.masks]
     ranked = sorted(enumerate(residues), key=lambda item: (item[1].bit_count(), item[0]))
     records = []

@@ -26,7 +26,7 @@ from operator import ne
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import BudgetError, InputError
-from .hypergraph import DISTINCT_SETS, GroundSet, Hypergraph, _view, pair_id, pair_of
+from .hypergraph import DISTINCT_SETS, Hypergraph, _check_semantics, _view, pair_id, pair_of
 
 DEFAULT_ORDER_BUDGET = 1_000_000
 
@@ -72,9 +72,6 @@ class PowerParams:
     @property
     def ground_size(self) -> int:
         return self.n * (self.n - 1) // 2
-
-    def ground(self) -> GroundSet:
-        return GroundSet(self.ground_size)
 
     @property
     def t_max(self) -> int:
@@ -131,8 +128,9 @@ class PowerFamily:
         Built on the first call per semantics; later calls return the same
         frozen object, and a bad semantics caches nothing."""
         if semantics not in self._views:
+            _check_semantics(semantics)
             edges = self.edge_sets if semantics == DISTINCT_SETS else self.order_sets
-            self._views[semantics] = _view(self.params.ground(), edges, self.params.r, semantics, transitive=True)
+            self._views[semantics] = _view(self.params.ground_size, edges, self.params.r, transitive=True)
         return self._views[semantics]
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator
@@ -31,7 +31,6 @@ __all__ = [
     "DISTINCT_SETS",
     "LABELED_ORDERS",
     "DEFAULT_PAIR_BUDGET",
-    "GroundSet",
     "Hypergraph",
     "SpreadReport",
     "K0Report",
@@ -67,47 +66,35 @@ def pair_of(eid: int) -> tuple[int, int]:
     """Inverse of pair_id, integer arithmetic only (bit-exact at any size)."""
     if eid < 0:
         raise InputError(f"negative element id {eid}")
+    # with eid = v(v-1)/2 + u, 0 <= u < v: 1 + 8*eid lies in [(2v-1)^2, (2v+1)^2)
     v = (1 + math.isqrt(1 + 8 * eid)) // 2
-    # isqrt guess can be off by one in either direction; settle it exactly.
-    while v * (v - 1) // 2 > eid:
-        v -= 1
-    while (v + 1) * v // 2 <= eid:
-        v += 1
     return eid - v * (v - 1) // 2, v
-
-
-@dataclass(frozen=True)
-class GroundSet:
-    """Element universe {0, ..., size-1}."""
-
-    size: int
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise InputError(f"ground set must be nonempty, got size {self.size}")
-
-    def check_element(self, x: int) -> None:
-        if not 0 <= x < self.size:
-            raise InputError(f"element id {x} out of range 0..{self.size - 1}")
 
 
 # ----------------------------------------------------------------------------
 # hypergraphs
 
-def _normalize_edge(edge: Iterable[int], r: int, ground: GroundSet) -> tuple[int, ...]:
+def _check_element(x: int, n_elements: int) -> None:
+    if not 0 <= x < n_elements:
+        raise InputError(f"element id {x} out of range 0..{n_elements - 1}")
+
+
+def _normalize_edge(edge: Iterable[int], r: int, n_elements: int) -> tuple[int, ...]:
     ids = tuple(sorted(edge))
     if len(set(ids)) != len(ids):
         raise InputError(f"repeated element in edge {ids}")
     if len(ids) != r:
         raise InputError(f"edge {ids} has {len(ids)} elements, expected {r}")
     for x in ids:
-        ground.check_element(x)
+        _check_element(x, n_elements)
     return ids
 
 
 @dataclass(frozen=True)
 class Hypergraph:
-    """An r-uniform family over a ground set, under one of the two semantics.
+    """An r-uniform family over the ground set {0, ..., n_elements-1}.  Its
+    semantics is a construction argument, not an attribute: distinct-sets
+    refuses a repeated edge, labeled-orders keeps it.
 
     `transitive` marks a family whose automorphisms act transitively on its
     members, so every member has the same intersection profile and
@@ -116,19 +103,21 @@ class Hypergraph:
     subfamilies are never marked.
     """
 
-    ground: GroundSet
+    n_elements: int
     edges: tuple[tuple[int, ...], ...]
     r: int
-    semantics: str = DISTINCT_SETS
+    semantics: InitVar[str] = DISTINCT_SETS
     transitive: bool = field(default=False, init=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, semantics: str):
+        if self.n_elements < 1:
+            raise InputError(f"ground set must be nonempty, got size {self.n_elements}")
         if self.r < 1:
             raise InputError(f"uniformity must be >= 1, got {self.r}")
-        _check_semantics(self.semantics)
-        norm = tuple(_normalize_edge(e, self.r, self.ground) for e in self.edges)
+        _check_semantics(semantics)
+        norm = tuple(_normalize_edge(e, self.r, self.n_elements) for e in self.edges)
         object.__setattr__(self, "edges", norm)
-        if self.semantics == DISTINCT_SETS and len(set(norm)) != len(norm):
+        if semantics == DISTINCT_SETS and len(set(norm)) != len(norm):
             raise InputError("duplicate edges are not allowed under distinct-sets semantics")
 
     def __len__(self) -> int:
@@ -143,7 +132,7 @@ class Hypergraph:
     def incidence(self) -> tuple[int, ...]:
         """Each element as a bitmask over edge indices: bit j of incidence[x]
         is set when element x lies in edge j (internal fast path)."""
-        rows = [bytearray(len(self.edges)) for _ in range(self.ground.size)]
+        rows = [bytearray(len(self.edges)) for _ in range(self.n_elements)]
         for j, e in enumerate(self.edges):
             for x in e:
                 rows[x][j] = 1
@@ -151,18 +140,21 @@ class Hypergraph:
         return tuple(int(row[::-1].translate(_DIGITS) or b"0", 2) for row in rows)
 
 
+# an InitVar default stays behind as a class attribute; no instance holds one
+del Hypergraph.semantics
+
+
 def _check_semantics(semantics: str) -> None:
     if semantics not in (DISTINCT_SETS, LABELED_ORDERS):
         raise InputError(f"unknown semantics {semantics!r}")
 
 
-def _view(ground, edges, r, semantics, transitive=False) -> Hypergraph:
-    """A Hypergraph sharing the edges tuple, unchecked but for the semantics:
-    the caller guarantees sorted r-tuples of ids inside the ground set, and
-    no repeated edge under distinct-sets."""
-    _check_semantics(semantics)
+def _view(n_elements, edges, r, transitive=False) -> Hypergraph:
+    """A Hypergraph sharing the edges tuple, unchecked: the caller guarantees
+    sorted r-tuples of ids below n_elements, and no repeated edge unless its
+    semantics keeps them."""
     hg = object.__new__(Hypergraph)
-    vars(hg).update(ground=ground, edges=edges, r=r, semantics=semantics, transitive=transitive)
+    vars(hg).update(n_elements=n_elements, edges=edges, r=r, transitive=transitive)
     return hg
 
 
@@ -178,11 +170,11 @@ def _mask(ids: Iterable[int]) -> int:
     return m
 
 
-def _mask_of(elements: Iterable[int], ground: GroundSet) -> int:
+def _mask_of(elements: Iterable[int], n_elements: int) -> int:
     """_mask of elements checked against the ground set."""
     elements = tuple(elements)
     for x in elements:
-        ground.check_element(x)
+        _check_element(x, n_elements)
     return _mask(elements)
 
 
@@ -392,21 +384,17 @@ def _int_lines(text: str) -> Iterator[tuple[int, str, list[int]]]:
 def read_hypergraph_text(text: str, semantics: str = DISTINCT_SETS) -> Hypergraph:
     header: list[int] | None = None
     edges: list[tuple[int, ...]] = []
-    expected = None
 
     for lineno, line, values in _int_lines(text):
         if header is None:
             if len(values) != 3:
                 raise InputError(f"line {lineno}: expected header 'N M r', got {line!r}")
-            header = values
-            n_elems, n_edges, r = header
-            if n_elems < 1 or n_edges < 0 or r < 1:
-                raise InputError(f"line {lineno}: bad header values N={n_elems} M={n_edges} r={r}")
-            expected = n_edges
+            header = n_elems, expected, r = values
+            if n_elems < 1 or expected < 0 or r < 1:
+                raise InputError(f"line {lineno}: bad header values N={n_elems} M={expected} r={r}")
             continue
         if len(edges) >= expected:
             raise InputError(f"line {lineno}: more than {expected} edge lines")
-        n_elems, _, r = header
         if len(values) != r:
             raise InputError(f"line {lineno}: expected {r} ids, got {len(values)}")
         if any(b <= a for a, b in zip(values, values[1:])):
@@ -420,14 +408,13 @@ def read_hypergraph_text(text: str, semantics: str = DISTINCT_SETS) -> Hypergrap
         raise InputError("line 1: missing header 'N M r'")
     if len(edges) != expected:
         raise InputError(f"expected {expected} edge lines, found {len(edges)}")
-    n_elems, _, r = header
-    try:
-        return Hypergraph(GroundSet(n_elems), tuple(edges), r, semantics)
-    except InputError as exc:
-        raise InputError(f"invalid family: {exc}") from exc
+    _check_semantics(semantics)
+    if semantics == DISTINCT_SETS and len(set(edges)) != len(edges):
+        raise InputError("invalid family: duplicate edges are not allowed under distinct-sets semantics")
+    return _view(n_elems, tuple(edges), r)
 
 
 def format_hypergraph_text(hg: Hypergraph) -> str:
-    out = [f"{hg.ground.size} {len(hg.edges)} {hg.r}"]
+    out = [f"{hg.n_elements} {len(hg.edges)} {hg.r}"]
     out.extend(" ".join(str(x) for x in e) for e in hg.edges)
     return "\n".join(out) + "\n"

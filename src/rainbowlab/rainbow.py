@@ -114,18 +114,15 @@ _SELECT = bytes.maketrans(b"01", b"\0\1")
 def rainbow_subfamily(hg: Hypergraph, coloring: Coloring) -> Hypergraph:
     """Members whose elements carry pairwise distinct colors.
 
-    Semantics and ground set carry over; under labeled-orders semantics the
-    result keeps duplicate members (it stays a multiset).  The kept members
-    are hg's own, so they are not checked again.
+    The ground set carries over, and so do repeated members: a multiset
+    stays one.  The kept members are hg's own, so they are not checked again.
     """
-    if len(coloring) != hg.ground.size:
-        raise InputError(
-            f"coloring covers {len(coloring)} elements, ground set has {hg.ground.size}"
-        )
+    if len(coloring) != hg.n_elements:
+        raise InputError(f"coloring covers {len(coloring)} elements, ground set has {hg.n_elements}")
     kept = ~_repeats(hg.incidence, coloring.colors, coloring.q) & ((1 << len(hg.edges)) - 1)
     # bin() reversed lists bit j at index j, and stops at the top kept member
     edges = tuple(compress(hg.edges, bin(kept)[:1:-1].encode().translate(_SELECT)))
-    return _view(hg.ground, edges, hg.r, hg.semantics)
+    return _view(hg.n_elements, edges, hg.r)
 
 
 def expected_rainbow_count(family_size: int, q: int, r: int) -> Fraction:

@@ -77,6 +77,14 @@ def test_unknown_config_key_is_named(capsys, tmp_path):
     assert "frobs" in err
 
 
+def test_a_config_that_is_not_an_object_is_refused(capsys, tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text("[1, 2]")
+    code, out, err = run_cli(capsys, "spread", "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert err == f"error: config {cfg} must hold a JSON object of flag values\n"
+
+
 def test_missing_n_is_input_error(capsys):
     code, _, err = run_cli(capsys, "family")
     assert code == 1
@@ -1043,6 +1051,26 @@ def test_report_names_a_mistyped_field(capsys, tmp_path):
     err = report_error(capsys, tmp_path, {"rows": [[1, 2]]})
     assert "row 0 must be a JSON object, got list" in err
     assert "missing" not in err
+
+
+def test_report_of_no_rows_is_refused_and_writes_nothing(capsys, tmp_path):
+    assert report_error(capsys, tmp_path, {"rows": []}) == "error: no results to report\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_grid_of_budget_exits_draws_no_curve(capsys, tmp_path):
+    # one node per search decides none of the three trials
+    code, _, err = run_cli(
+        capsys, "threshold", "--n", "8", "--k", "1", "--m-grid", "28", "--trials", "3",
+        "--budget", "1", "--seed", "1", "--out-dir", str(tmp_path),
+    )
+    assert code == 0, err
+    header, row = (tmp_path / "results.csv").read_text().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["decided"] == "0" and cells["unknown"] == "3"
+    assert cells["rate"] == cells["wilson_lo"] == cells["wilson_hi"] == ""
+    svg = (tmp_path / "curves.svg").read_text()
+    assert "<svg" in svg and "<polyline" not in svg and "<circle" not in svg
 
 
 def test_fragment_sweep_reports_rates_and_fit(capsys):

@@ -25,14 +25,14 @@ from rainbowlab.fragments import (
     sample_w0,
 )
 from rainbowlab.hampow import PowerParams
-from rainbowlab.hypergraph import DISTINCT_SETS, GroundSet, Hypergraph
+from rainbowlab.hypergraph import DISTINCT_SETS, Hypergraph
 from rainbowlab.rainbow import Coloring, falling, random_coloring, rainbow_subfamily
 from rainbowlab.seeding import make_rng, mix
 
 
 def toy_hstar():
     """Four 3-element members on 6 ground elements, overlaps by design."""
-    g = GroundSet(6)
+    g = 6
     edges = ((0, 1, 2), (1, 2, 3), (3, 4, 5), (0, 2, 4))
     return Hypergraph(g, edges, r=3, semantics=DISTINCT_SETS)
 
@@ -189,7 +189,7 @@ def families_and_exposures(draw):
     edge = st.lists(st.integers(0, size - 1), min_size=r, max_size=r, unique=True).map(sorted).map(tuple)
     edges = draw(st.lists(edge, max_size=20, unique=True))
     w0 = draw(st.lists(st.integers(0, size - 1), unique=True))
-    return Hypergraph(GroundSet(size), tuple(edges), r=r, semantics=DISTINCT_SETS), w0
+    return Hypergraph(size, tuple(edges), r=r, semantics=DISTINCT_SETS), w0
 
 
 @settings(max_examples=300, deadline=None)
@@ -250,7 +250,7 @@ def test_min_fragment_validates_inputs():
         classify_fragments(toy_hstar(), (17,))
     # W0 is checked before the family is looked at
     with pytest.raises(InputError):
-        classify_fragments(Hypergraph(GroundSet(6), (), r=3, semantics=DISTINCT_SETS), (17,))
+        classify_fragments(Hypergraph(6, (), r=3, semantics=DISTINCT_SETS), (17,))
 
 
 # ----------------------------------------------------------------------------
@@ -308,7 +308,7 @@ def test_classify_failure_when_bad_majority():
 
 
 def test_classify_empty_family_is_degenerate():
-    g = GroundSet(6)
+    g = 6
     empty = Hypergraph(g, (), r=3, semantics=DISTINCT_SETS)
     out = classify_fragments(empty, (0, 1))
     assert out.records == () and out.histogram == {}

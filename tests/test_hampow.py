@@ -43,7 +43,6 @@ from rainbowlab.hampow import (
 from rainbowlab.hypergraph import (
     DISTINCT_SETS,
     LABELED_ORDERS,
-    GroundSet,
     format_hypergraph_text,
     pair_id,
     pair_of,
@@ -242,23 +241,24 @@ def test_hypergraph_views():
     for semantics in (DISTINCT_SETS, LABELED_ORDERS):  # each view is built once
         hg = fam.hypergraph(semantics)
         assert fam.hypergraph(semantics) is hg
-        assert hg.transitive and hg.semantics == semantics
+        assert hg.transitive
 
 
 def test_views_share_the_family_tuples_unchecked(monkeypatch):
     # enumeration built and checked the powers, so a view takes them as they are
     import rainbowlab.hampow as hampow
+    import rainbowlab.hypergraph as hypergraph
 
     checked = []
-    check_element = GroundSet.check_element
+    check_element = hypergraph._check_element
 
-    def counting(self, x):
+    def counting(x, n_elements):
         checked.append(x)
-        return check_element(self, x)
+        return check_element(x, n_elements)
 
     monkeypatch.setattr(hampow, "_family_cache", {})
     fam = enumerate_family(PowerParams(7, 2))
-    monkeypatch.setattr(GroundSet, "check_element", counting)
+    monkeypatch.setattr(hypergraph, "_check_element", counting)
     assert fam.hypergraph(DISTINCT_SETS).edges is fam.edge_sets
     assert fam.hypergraph(LABELED_ORDERS).edges is fam.order_sets
     assert checked == []

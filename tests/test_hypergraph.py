@@ -5,17 +5,17 @@ permutations, or frozen small constants checked by hand.
 """
 
 import math
+from dataclasses import fields
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rainbowlab.errors import InputError
 from rainbowlab.hypergraph import (
     DISTINCT_SETS,
     LABELED_ORDERS,
-    GroundSet,
     Hypergraph,
     _mask_of,
     alpha_cut,
@@ -34,7 +34,7 @@ def count_superedges(hg, elements):
     """Number of members containing every given element (multiplicity
     counted): the oracle for spread witnesses.  The empty set is contained
     in everything, so count_superedges(hg, ()) is the family size."""
-    smask = _mask_of(elements, hg.ground)
+    smask = _mask_of(elements, hg.n_elements)
     return sum(1 for m in hg.masks if m & smask == smask)
 
 
@@ -51,7 +51,7 @@ def cycle_edge_sets(n):
 
 
 def cycle_family(n):
-    ground = GroundSet(n * (n - 1) // 2)
+    ground = n * (n - 1) // 2
     return Hypergraph(ground, tuple(cycle_edge_sets(n)), r=n, semantics=DISTINCT_SETS)
 
 
@@ -69,7 +69,16 @@ def test_pair_id_symmetric():
     assert pair_id(4, 2) == pair_id(2, 4)
 
 
-@given(st.integers(min_value=0, max_value=5000))
+def row_end(v, last):
+    """The first (u = 0) or the last (u = v - 1) id of row v."""
+    return v * (v - 1) // 2 + (v - 1 if last else 0)
+
+
+# a row's two ends are where an isqrt guess one off would show, at any size
+@given(st.integers(min_value=0, max_value=5000) | st.builds(row_end, st.integers(1, 10**200), st.booleans()))
+@example(row_end(2**100 + 7, False))
+@example(row_end(2**300 + 1, True))
+@example(row_end(10**200, True))
 def test_pair_roundtrip(eid):
     u, v = pair_of(eid)
     assert u < v
@@ -85,7 +94,7 @@ def test_pair_id_rejects_loops():
 # construction
 
 def test_edges_are_sorted_and_deduplicated_drops_nothing_silently():
-    g = GroundSet(6)
+    g = 6
     hg = Hypergraph(g, ((2, 0, 1), (3, 4, 5)), r=3, semantics=DISTINCT_SETS)
     assert hg.edges[0] == (0, 1, 2)
     with pytest.raises(InputError):
@@ -93,9 +102,34 @@ def test_edges_are_sorted_and_deduplicated_drops_nothing_silently():
 
 
 def test_edge_arity_checked():
-    g = GroundSet(6)
+    g = 6
     with pytest.raises(InputError):
         Hypergraph(g, ((0, 1),), r=3, semantics=DISTINCT_SETS)
+
+
+def test_a_hypergraph_is_its_ground_size_edges_and_uniformity():
+    assert [f.name for f in fields(Hypergraph)] == ["n_elements", "edges", "r", "transitive"]
+    # the semantics decides only what construction refuses
+    twice = Hypergraph(6, ((0, 1), (1, 0)), r=2, semantics=LABELED_ORDERS)
+    assert twice.edges == ((0, 1), (0, 1)) and not hasattr(twice, "semantics")
+    assert Hypergraph(6, ((0, 1),), 2) == Hypergraph(6, ((0, 1),), 2, LABELED_ORDERS)
+    with pytest.raises(InputError, match="unknown semantics 'distinct'"):
+        Hypergraph(6, ((0, 1),), 2, "distinct")
+    with pytest.raises(InputError, match="ground set must be nonempty, got size 0"):
+        Hypergraph(0, (), 2)
+
+
+def test_the_text_reader_checks_each_element_once(monkeypatch):
+    from rainbowlab import hypergraph
+
+    def refuse(x, n_elements):
+        raise AssertionError("the reader's own range check covers every element")
+
+    monkeypatch.setattr(hypergraph, "_check_element", refuse)
+    hg = read_hypergraph_text("6 2 2\n0 1\n4 5\n", LABELED_ORDERS)
+    assert (hg.n_elements, hg.edges, hg.r) == (6, ((0, 1), (4, 5)), 2)
+    with pytest.raises(InputError, match="^unknown semantics 'distinct'$"):
+        read_hypergraph_text("6 0 2\n", "distinct")
 
 
 def test_masks_match_edges():
@@ -113,7 +147,7 @@ def test_masks_match_edges():
     ],
 )
 def test_incidence_is_the_transpose_of_masks(hg):
-    assert len(hg.incidence) == hg.ground.size
+    assert len(hg.incidence) == hg.n_elements
     for x, inc in enumerate(hg.incidence):
         assert inc == sum(1 << j for j, edge in enumerate(hg.edges) if x in edge)
 
@@ -172,7 +206,7 @@ def test_spread_n7_cycles():
 
 
 def test_spread_single_edge_family_is_one():
-    g = GroundSet(4)
+    g = 4
     hg = Hypergraph(g, ((0, 1, 2, 3),), r=4, semantics=DISTINCT_SETS)
     rep = spread_up_to(hg, 4)
     assert rep.kappa_s == pytest.approx(1.0)
@@ -180,7 +214,7 @@ def test_spread_single_edge_family_is_one():
 
 def test_spread_considers_only_covered_subsets():
     # element 5 lies in no member: it must not produce a zero-count constraint
-    g = GroundSet(6)
+    g = 6
     hg = Hypergraph(g, ((0, 1), (0, 2), (3, 4)), r=2, semantics=DISTINCT_SETS)
     rep = spread_up_to(hg, 2)
     assert rep.kappa_s > 0
@@ -212,13 +246,13 @@ def test_profile_n5_matches_hand_count():
 
 
 def test_profile_single_edge():
-    g = GroundSet(4)
+    g = 4
     hg = Hypergraph(g, ((0, 1, 2, 3),), r=4, semantics=DISTINCT_SETS)
     assert intersection_profile(hg, 0) == (0, 0, 0, 0, 1)
 
 
 def test_profile_two_disjoint_edges():
-    g = GroundSet(6)
+    g = 6
     hg = Hypergraph(g, ((0, 1, 2), (3, 4, 5)), r=3, semantics=DISTINCT_SETS)
     assert intersection_profile(hg, 0) == (1, 0, 0, 1)
 
@@ -265,7 +299,7 @@ def test_required_k0_rejects_kappa_outside_the_positive_floats(kappa):
 
 
 def test_required_k0_rejects_empty_family():
-    g = GroundSet(4)
+    g = 4
     hg = Hypergraph(g, (), r=2, semantics=DISTINCT_SETS)
     with pytest.raises(InputError):
         required_k0(hg, kappa=1.0, alpha=0.5)
@@ -280,7 +314,7 @@ def test_text_roundtrip():
     back = read_hypergraph_text(text, semantics=DISTINCT_SETS)
     assert back.edges == hg.edges
     assert back.r == hg.r
-    assert back.ground.size == hg.ground.size
+    assert back.n_elements == hg.n_elements
 
 
 def test_text_header():

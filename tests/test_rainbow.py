@@ -21,7 +21,6 @@ from rainbowlab.hampow import PowerParams, enumerate_family
 from rainbowlab.hypergraph import (
     DISTINCT_SETS,
     LABELED_ORDERS,
-    GroundSet,
     Hypergraph,
     format_hypergraph_text,
     read_hypergraph_text,
@@ -44,7 +43,7 @@ from tests.test_threshold import FORKS
 
 
 def tiny_family():
-    g = GroundSet(4)
+    g = 4
     return Hypergraph(g, ((0, 1), (1, 2), (2, 3)), r=2, semantics=DISTINCT_SETS)
 
 
@@ -122,7 +121,7 @@ def test_rainbow_subfamily_checks_length():
 
 
 def test_rainbow_subfamily_keeps_duplicates_under_labeled_orders():
-    g = GroundSet(4)
+    g = 4
     hg = Hypergraph(g, ((0, 1), (0, 1), (2, 3)), r=2, semantics=LABELED_ORDERS)
     sub = rainbow_subfamily(hg, Coloring((0, 1, 0, 1), 2))
     assert sub.edges == ((0, 1), (0, 1), (2, 3))
@@ -218,7 +217,7 @@ def test_one_row_matches_the_pair_scan(n, k, semantics, monkeypatch):
     from rainbowlab import hypergraph
 
     marked = enumerate_family(PowerParams(n, k)).hypergraph(semantics)
-    plain = Hypergraph(marked.ground, marked.edges, marked.r, marked.semantics)
+    plain = Hypergraph(marked.n_elements, marked.edges, marked.r, semantics)
     assert marked.transitive and not plain.transitive
     # the marked view takes one profile row per call, the unmarked copy |H|
     rows = []
@@ -256,13 +255,13 @@ def test_one_row_budget_counts_the_pairs_intersected():
         exact_second_moment(marked, 8, pair_budget=59)
     with pytest.raises(BudgetError, match="needs 3600 pair"):
         exact_second_moment(
-            Hypergraph(marked.ground, marked.edges, marked.r, marked.semantics), 8, pair_budget=3599
+            Hypergraph(marked.n_elements, marked.edges, marked.r, DISTINCT_SETS), 8, pair_budget=3599
         )
 
 
 def test_subfamilies_and_text_input_are_not_marked():
     marked = enumerate_family(PowerParams(6, 2)).hypergraph(LABELED_ORDERS)
-    coloring = random_coloring(marked.ground.size, 13, make_rng(5))
+    coloring = random_coloring(marked.n_elements, 13, make_rng(5))
     assert not rainbow_subfamily(marked, coloring).transitive
     assert not read_hypergraph_text(format_hypergraph_text(marked), LABELED_ORDERS).transitive
 
@@ -271,7 +270,7 @@ def test_subfamilies_and_text_input_are_not_marked():
 @pytest.mark.parametrize("n,k", TRANSITIVE_SIZES)
 def test_view_equals_the_checked_hypergraph(n, k, semantics):
     view = enumerate_family(PowerParams(n, k)).hypergraph(semantics)
-    assert view == Hypergraph(view.ground, view.edges, view.r, semantics)
+    assert view == Hypergraph(view.n_elements, view.edges, view.r, semantics)
 
 
 @pytest.mark.parametrize("semantics", [DISTINCT_SETS, LABELED_ORDERS])
@@ -281,11 +280,11 @@ def test_rainbow_subfamily_matches_the_checked_filter(n, k, q, semantics):
     hg = fam.hypergraph(semantics)
     sizes, repeated = set(), False
     for seed in range(20):
-        coloring = random_coloring(hg.ground.size, q, make_rng(seed))
+        coloring = random_coloring(hg.n_elements, q, make_rng(seed))
         cols = coloring.colors
         kept = tuple(e for e in hg.edges if len({cols[x] for x in e}) == hg.r)
         got = rainbow_subfamily(hg, coloring)
-        assert got == Hypergraph(hg.ground, kept, hg.r, semantics)
+        assert got == Hypergraph(hg.n_elements, kept, hg.r, semantics)
         assert not got.transitive
         sizes.add(len(got))
         repeated |= len(set(got.edges)) < len(got)
@@ -309,7 +308,7 @@ def sampled_zs(hg, q, trials, seed):
 def zs_by_hand(hg, q, trials, seed):
     """Each trial's Z from its own make_rng(seed, stream, i) and the filter."""
     stream = rainbow._STREAM_COLORS
-    colorings = (random_coloring(hg.ground.size, q, make_rng(seed, stream, i)) for i in range(trials))
+    colorings = (random_coloring(hg.n_elements, q, make_rng(seed, stream, i)) for i in range(trials))
     return [len(rainbow_by_hand(hg, c.colors)) for c in colorings]
 
 
@@ -318,9 +317,9 @@ def zs_by_hand(hg, q, trials, seed):
 def test_the_mask_kernel_matches_a_per_member_filter(n, k, semantics):
     hg = enumerate_family(PowerParams(n, k)).hypergraph(semantics)
     # palettes below r, around r, and larger than the ground set
-    for q in (hg.r - 1, hg.r + 1, 2 * hg.r, 3 * hg.ground.size):
+    for q in (hg.r - 1, hg.r + 1, 2 * hg.r, 3 * hg.n_elements):
         for seed in range(8):
-            coloring = random_coloring(hg.ground.size, q, make_rng(seed, q))
+            coloring = random_coloring(hg.n_elements, q, make_rng(seed, q))
             sub = rainbow_subfamily(hg, coloring)
             assert sub.edges == rainbow_by_hand(hg, coloring.colors)
             if q < hg.r:  # too few colors: the coloring leaves no member
@@ -338,8 +337,8 @@ TEXT_FAMILY = "7 5 3\n0 1 2\n1 2 3\n0 4 5\n2 3 5\n1 5 6\n"
         (read_hypergraph_text(TEXT_FAMILY), 40),
         (read_hypergraph_text(TEXT_FAMILY, LABELED_ORDERS), 4),
         # r = 1: every member is rainbow, even with one color
-        (Hypergraph(GroundSet(5), ((0,), (2,), (3,), (4,)), r=1), 1),
-        (Hypergraph(GroundSet(5), ((0,), (2,), (3,), (2,)), r=1, semantics=LABELED_ORDERS), 2),
+        (Hypergraph(5, ((0,), (2,), (3,), (4,)), r=1), 1),
+        (Hypergraph(5, ((0,), (2,), (3,), (2,)), r=1, semantics=LABELED_ORDERS), 2),
         # one color leaves no member of a family with r >= 2
         (read_hypergraph_text(TEXT_FAMILY), 1),
         (read_hypergraph_text("4 0 2\n"), 2),
@@ -347,7 +346,7 @@ TEXT_FAMILY = "7 5 3\n0 1 2\n1 2 3\n0 4 5\n2 3 5\n1 5 6\n"
 )
 def test_the_mask_kernel_on_small_families(hg, q):
     for seed in range(10):
-        coloring = random_coloring(hg.ground.size, q, make_rng(seed))
+        coloring = random_coloring(hg.n_elements, q, make_rng(seed))
         sub = rainbow_subfamily(hg, coloring)
         assert sub.edges == rainbow_by_hand(hg, coloring.colors)
         if hg.r == 1:
